@@ -1,9 +1,11 @@
 (* LP engine gate: a trimmed THM1 sweep run twice — once through a
    revised-simplex [Lp.Solver] session (warm starts enabled), once
-   through the retained full-tableau oracle — requiring
+   through the full-tableau oracle in the test-only [lp_oracle]
+   library — requiring
 
-   1. byte-identical certified outputs: every consumer's tailored,
-      universal, and naive losses, and the universality verdict,
+   1. byte-identical certified outputs for both LP families: every
+      consumer's tailored (§2.5 LP) and universal (interaction LP on
+      G(n,α)) losses, its naive loss, and the universality verdict,
       rendered identically by both engines;
    2. a hard wall-clock ratio: the revised session must beat the
       oracle by at least [min_speedup] on the same grid.
@@ -15,6 +17,8 @@
 module U = Minimax.Universal
 module C = Minimax.Consumer
 module L = Minimax.Loss
+module Om = Minimax.Optimal_mechanism
+module Oi = Minimax.Optimal_interaction
 
 let q = Rat.of_ints
 
@@ -35,7 +39,8 @@ let min_speedup = 2.0
 
 type row = { label : string; tailored : string; universal : string; naive : string; holds : bool }
 
-let sweep solver =
+(* [losses_of ~n ~alpha consumer] is (tailored, universal, naive). *)
+let sweep losses_of =
   let rows = ref [] in
   List.iter
     (fun n ->
@@ -45,15 +50,16 @@ let sweep solver =
             (fun side_info ->
               List.iter
                 (fun alpha ->
-                  let cmp = U.compare_for ?solver ~alpha (C.make ~loss ~side_info ()) in
+                  let consumer = C.make ~loss ~side_info () in
+                  let tailored, universal, naive = losses_of ~n ~alpha consumer in
                   rows :=
                     {
                       label = Printf.sprintf "n=%d a=%s %s" n (Rat.to_string alpha)
-                          (C.label cmp.U.consumer);
-                      tailored = Rat.to_string cmp.U.tailored_loss;
-                      universal = Rat.to_string cmp.U.universal_loss;
-                      naive = Rat.to_string cmp.U.naive_loss;
-                      holds = U.universality_holds cmp;
+                          (C.label consumer);
+                      tailored = Rat.to_string tailored;
+                      universal = Rat.to_string universal;
+                      naive = Rat.to_string naive;
+                      holds = Rat.equal tailored universal;
                     }
                     :: !rows)
                 alphas)
@@ -62,18 +68,30 @@ let sweep solver =
     ns;
   List.rev !rows
 
+let revised_losses solver ~n:_ ~alpha consumer =
+  let cmp = U.compare_for ~solver ~alpha consumer in
+  (cmp.U.tailored_loss, cmp.U.universal_loss, cmp.U.naive_loss)
+
+let oracle_min (p, _, d) =
+  Lp.set_objective p Lp.Minimize (Lp.Expr.var d);
+  match fst (Lp_oracle.solve p) with
+  | Lp.Optimal s -> s.Lp.objective
+  | Lp.Failed e -> Lp.Solver_error.fail ~context:"lp-bench oracle" e
+
+let oracle_losses ~n ~alpha consumer =
+  let geometric = Mech.Geometric.matrix ~n ~alpha in
+  ( oracle_min (Om.build_problem ~alpha ~n consumer),
+    oracle_min (Oi.build_problem ~deployed:geometric consumer),
+    C.minimax_loss consumer geometric )
+
 let timed f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
 let () =
-  let revised, t_revised =
-    timed (fun () -> sweep (Some (Lp.Solver.create ())))
-  in
-  let oracle, t_oracle =
-    timed (fun () -> sweep (Some (Lp.Solver.create ~engine:Lp.Solver.Tableau ())))
-  in
+  let revised, t_revised = timed (fun () -> sweep (revised_losses (Lp.Solver.create ()))) in
+  let oracle, t_oracle = timed (fun () -> sweep oracle_losses) in
   let failures = ref 0 in
   List.iter2
     (fun r o ->

@@ -710,9 +710,9 @@ let ablation_lp =
       let alpha = q 1 2 in
       let configs =
         [
-          ("dantzig+lex, crash", `Direct (Some Lp.Simplex.Exact.Dantzig_lex, Some true));
-          ("dantzig+lex, no crash", `Direct (Some Lp.Simplex.Exact.Dantzig_lex, Some false));
-          ("bland, crash", `Direct (Some Lp.Simplex.Exact.Bland, Some true));
+          ("dantzig+lex, crash", `Direct (Some Lp.Dantzig_lex, Some true));
+          ("dantzig+lex, no crash", `Direct (Some Lp.Dantzig_lex, Some false));
+          ("bland, crash", `Direct (Some Lp.Bland, Some true));
           ("via Theorem-1 interaction", `Fast);
         ]
       in
@@ -812,8 +812,8 @@ let ablation_numeric =
           let p, _, d = Om.build_problem ~alpha ~n consumer in
           Lp.set_objective p Lp.Minimize (Lp.Expr.var d);
           let t0 = now_s () in
-          (match Lp.solve_float p with
-           | Lp.Foptimal f ->
+          (match Lp_oracle.solve_float p with
+           | Lp_oracle.Foptimal f ->
              let dt = now_s () -. t0 in
              let exact_f = Rat.to_float exact.Om.loss in
              (* The float mirror honors the pricing knob. In exact ℚ
@@ -822,18 +822,18 @@ let ablation_numeric =
                 — the spread between the two float answers is itself an
                 ablation data point. *)
              let bland_spread =
-               match Lp.solve_float ~pricing:Lp.Simplex.Exact.Bland p with
-               | Lp.Foptimal fb -> Float.abs (fb.Lp.fobjective -. f.Lp.fobjective)
-               | Lp.Finfeasible | Lp.Funbounded -> Float.nan
+               match Lp_oracle.solve_float ~pricing:Lp.Bland p with
+               | Lp_oracle.Foptimal fb -> Float.abs (fb -. f)
+               | Lp_oracle.Finfeasible | Lp_oracle.Funbounded -> Float.nan
              in
              Buffer.add_string buf
                (Printf.sprintf
                   "    n=%d α=%s: exact %s; float %.12f (Δ=%.2e, %.3fs float; \
                    Dantzig-vs-Bland float spread %.2e)\n"
-                  n (Rat.to_string alpha) (Rat.to_string exact.Om.loss) f.Lp.fobjective
-                  (Float.abs (f.Lp.fobjective -. exact_f))
+                  n (Rat.to_string alpha) (Rat.to_string exact.Om.loss) f
+                  (Float.abs (f -. exact_f))
                   dt bland_spread)
-           | Lp.Finfeasible | Lp.Funbounded ->
+           | Lp_oracle.Finfeasible | Lp_oracle.Funbounded ->
              ok := false;
              Buffer.add_string buf "    float solver misclassified a feasible LP\n"))
         [ (3, q 1 2); (5, q 1 2); (6, q 1 4) ];
@@ -850,10 +850,11 @@ let resilience_ladder =
   let module SE = Resilience.Solver_error in
   E.make ~id:"R1" ~title:"Resilience: serve-ladder degradation under budgets and faults"
     ~paper_claim:
-      "(ours; DESIGN.md §4d) when the tailored §2.5 LP cannot finish within budget, \
-       Theorems 1–2 justify degrading to G(n,α): first with the optimal-interaction \
-       remap (lossless by Theorem 1), then raw — every rung re-certified α-DP before \
-       release, with provenance recording what was tried"
+      "(ours; DESIGN.md §4d) Theorem 1 makes G(n,α) + the optimal-interaction remap \
+       the tailored §2.5 optimum, so the ladder serves that; when the interaction LP \
+       cannot finish within budget, or its release fails certification, Theorem 2 \
+       justifies degrading to raw G(n,α) — every rung certified α-DP before release, \
+       with provenance recording what was tried"
     (fun () ->
       let alpha = q 1 2 in
       let n = 5 in
@@ -861,10 +862,14 @@ let resilience_ladder =
       let ok = ref true in
       let scenarios =
         [
-          ("no budget", None, None, S.Tailored);
-          (* 30 pivots: enough for the (smaller) interaction LP, not
-             for the tailored one — the ladder stops at the remap. *)
+          ("no budget", None, None, S.Geometric_remap);
+          (* 30 pivots: enough for the interaction LP. *)
           ("max-pivots 30", Some (fun () -> B.make ~max_pivots:30 ()), None, S.Geometric_remap);
+          ("max-pivots 3", Some (fun () -> B.make ~max_pivots:3 ()), None, S.Geometric_raw);
+          ( "fault: fail the remap's certificate",
+            None,
+            Some (fun () -> F.plan [ { F.site = "serve.certify"; hits = 1; action = F.Trip } ]),
+            S.Geometric_raw );
           ( "fault: exhaust every simplex site",
             None,
             Some
@@ -954,7 +959,7 @@ let engine_serving =
               Array.for_all
                 (fun (r : En.response) ->
                   match En.artifact e r.En.request with
-                  | Some a -> a.En.Compiled.certificates <> []
+                  | Some a -> a.En.Compiled.served.Minimax.Serve.certificates <> []
                   | None -> false)
                 rs
             in
@@ -1819,7 +1824,7 @@ let perf_tests () =
         in
         let b = Array.make n 1.0 in
         let c = Array.init (2 * n) (fun j -> if j < n then 1.0 else 0.0) in
-        ignore (Lp.Simplex.Floating.solve_standard ~a ~b ~c ()))
+        ignore (Lp_oracle.Simplex.Floating.solve_standard ~a ~b ~c ()))
   in
   [
     Test.make ~name:"lp:optimal-mech n=3 a=1/2" (lp_solve 3 (q 1 2));

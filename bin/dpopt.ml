@@ -318,9 +318,9 @@ let serve_cmd =
         Printf.printf "rung       : %s%s\n"
           (S.rung_to_string p.S.rung)
           (match p.S.rung with
-           | S.Tailored -> " (the §2.5 LP optimum)"
-           | S.Geometric_remap -> " (G(n,α) + optimal interaction, Theorem 1)"
-           | S.Geometric_raw -> " (raw G(n,α), Theorem 2)");
+           | S.Geometric_remap -> " (G(n,α) + optimal interaction = the §2.5 optimum, Theorem 1)"
+           | S.Geometric_raw -> " (raw G(n,α), Theorem 2)"
+           | S.Tailored -> "");
         Printf.printf "loss       : %s (= %s)\n" (Rat.to_string s.S.loss)
           (Rat.to_decimal_string ~places:6 s.S.loss);
         Printf.printf "provenance : %s\n" (S.provenance_to_string p);
@@ -340,9 +340,10 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Serve a consumer within a budget (--deadline-ms / --max-pivots / --max-bits), \
-          degrading from the tailored LP to the geometric mechanism rather than failing; \
-          the released mechanism is re-certified and carries its provenance.")
+         "Serve a consumer within a budget (--deadline-ms / --max-pivots / --max-bits): \
+          G(n,α) plus the consumer's optimal interaction (the tailored optimum, by \
+          Theorem 1), degrading to raw G(n,α) rather than failing; the released mechanism \
+          is certified and carries its provenance.")
     term
 
 (* ----------------------------------------------------------------- *)

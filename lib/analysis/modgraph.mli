@@ -35,9 +35,6 @@ val info : t -> string -> Modinfo.t option
 val infos : t -> Modinfo.t list
 (** All symbol tables, sorted by path. *)
 
-val edges_of : t -> string -> string list
-(** Outgoing edges (referenced in-tree files), sorted, deduplicated. *)
-
 val closure : t -> roots:string list -> (string * string list) list
 (** Breadth-first dependency closure from [roots] (file paths).
     Returns each reachable file with its witness chain — a shortest

@@ -82,12 +82,6 @@ type t = {
           float operators — token text + line *)
 }
 
-val valid_tags : string list
-
-val module_name_of_path : string -> string
-(** ["lib/obs/obs.ml"] → ["Obs"] *)
-
-val of_source : path:string -> string -> t
 val of_file : string -> t
 
 val waived : t -> tag:string -> line:int -> bool

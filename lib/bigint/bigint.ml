@@ -419,7 +419,6 @@ let mul a b =
     if sa = 0 || sb = 0 then zero else make_sm (sa * sb) (mag_mul ma mb)
 
 let mul_int a n = mul a (of_int n)
-let add_int a n = add a (of_int n)
 
 let divmod a b =
   match (a, b) with
@@ -614,8 +613,6 @@ let isqrt x =
     in
     go (shift_left one ((num_bits x / 2) + 1))
   end
-
-let is_square x = (not (is_negative x)) && equal x (mul (isqrt x) (isqrt x))
 
 let sqrt_exact x =
   if is_negative x then None

@@ -91,7 +91,6 @@ val shift_right : t -> int -> t
 (** Arithmetic shift toward negative infinity by [k >= 0] bits. *)
 
 val mul_int : t -> int -> t
-val add_int : t -> int -> t
 
 (** {1 Sizes} *)
 
@@ -128,9 +127,6 @@ val lcm : t -> t -> t
 val isqrt : t -> t
 (** Integer square root: the largest [r] with [r*r <= x].
     @raise Invalid_argument on negative input. *)
-
-val is_square : t -> bool
-(** Is the value a perfect square? *)
 
 val sqrt_exact : t -> t option
 (** [Some r] when [x = r*r] exactly; [None] otherwise. *)

@@ -51,27 +51,6 @@ val scan_source :
     [assert false]; with [ban_unix_write] (default false), also flag
     raw [Unix] writes. *)
 
-val scan_file :
-  ?ban_stdout:bool -> ?ban_assert:bool -> ?ban_unix_write:bool -> string -> Diagnostic.t list
-(** Read and {!scan_source} one [.ml] file. *)
-
-val scan_tree :
-  ?require_mli:bool ->
-  ?ban_stdout:bool ->
-  ?ban_assert:bool ->
-  ?ban_unix_write:bool ->
-  string ->
-  Diagnostic.t list
-(** Walk a directory (skipping [_build] and dot-directories), scanning
-    every [.ml]. With [require_mli] (default false), also demand a
-    sibling [.mli] for every [.ml]. With [ban_stdout] (default false),
-    flag direct stdout printing — except under [report/] and [obs/]
-    path components, which host the sanctioned sinks. With
-    [ban_assert] (default false), flag undocumented [assert false].
-    With [ban_unix_write] (default false), flag raw [Unix] writes —
-    except in [framing.ml] under a [server/] path component, which is
-    the sanctioned write path. *)
-
 val scan_roots : string list -> Diagnostic.t list
 (** Scan several roots; a root whose basename is ["lib"] gets
     [require_mli:true], [ban_stdout:true] and [ban_assert:true]

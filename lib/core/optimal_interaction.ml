@@ -20,11 +20,10 @@ type result = {
   loss : Rat.t;  (** minimax loss of the induced mechanism *)
 }
 
-let solve_budgeted ?budget ?solver ~(deployed : Mech.Mechanism.t) (consumer : Consumer.t) =
+let build_problem ~(deployed : Mech.Mechanism.t) (consumer : Consumer.t) =
   let n = Mech.Mechanism.n deployed in
   if Consumer.n consumer <> n then
     invalid_arg "Optimal_interaction.solve: consumer range does not match mechanism";
-  Obs.span ~attrs:[ ("n", Obs.Int n) ] "core.optimal_interaction" @@ fun () ->
   let p = Lp.make () in
   let t_var = Array.init (n + 1) (fun r -> Array.init (n + 1) (fun r' -> Lp.fresh_var ~name:(Printf.sprintf "T_%d_%d" r r') p)) in
   let d = Lp.fresh_var ~name:"d" p in
@@ -52,6 +51,12 @@ let solve_budgeted ?budget ?solver ~(deployed : Mech.Mechanism.t) (consumer : Co
       in
       Lp.add_le p (Lp.Expr.sub (Lp.Expr.sum terms) (Lp.Expr.var d)) Rat.zero)
     (Side_info.members (Consumer.side_info consumer));
+  (p, t_var, d)
+
+let solve_budgeted ?budget ?solver ~(deployed : Mech.Mechanism.t) (consumer : Consumer.t) =
+  let n = Mech.Mechanism.n deployed in
+  Obs.span ~attrs:[ ("n", Obs.Int n) ] "core.optimal_interaction" @@ fun () ->
+  let p, t_var, d = build_problem ~deployed consumer in
   Lp.set_objective p Lp.Minimize (Lp.Expr.var d);
   let outcome =
     match solver with

@@ -9,6 +9,15 @@ type result = {
   loss : Rat.t;  (** minimax loss of the induced mechanism *)
 }
 
+val build_problem :
+  deployed:Mech.Mechanism.t -> Consumer.t -> Lp.problem * Lp.var array array * Lp.var
+(** The raw LP: row-stochasticity of [T] + per-side-information loss
+    bounds on [y·T]; returns [(problem, T variables, d)] with no
+    objective set (minimize [d] to solve it). Exposed for the LP
+    oracle gate, like {!Optimal_mechanism.build_problem}.
+    @raise Invalid_argument when consumer and mechanism ranges
+    mismatch. *)
+
 val solve_budgeted :
   ?budget:Lp.Budget.t ->
   ?solver:Lp.Solver.t ->
@@ -16,7 +25,7 @@ val solve_budgeted :
   Consumer.t ->
   (result, Lp.Solver_error.t) Stdlib.result
 (** The optimal interaction, or the typed reason the budgeted solve
-    stopped. Rung 2 of the degradation ladder ({!Serve}) runs this
+    stopped. The top rung of the serve ladder ({!Serve}) runs this
     against [G(n,α)]. When [solver] is given the solve runs through
     that session and may warm-start from a cached same-shaped basis;
     warm optima share the exact loss but may be a different optimal

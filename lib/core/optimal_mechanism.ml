@@ -109,16 +109,11 @@ let solve_structured ~alpha (consumer : Consumer.t) =
 (* Lemma 5: structure of adjacent rows of structured optima           *)
 (* ------------------------------------------------------------------ *)
 
-type row_pattern = {
-  c1 : int;  (** last column (1-based count) with [α·x_i = x_{i+1}]; 0 when none *)
-  c2 : int;  (** first column with [x_i = α·x_{i+1}]; n+2 when none *)
-  gap_ok : bool;  (** [c2 = c1 + 1] or [c2 = c1 + 2] *)
-}
-
 (** Check the Lemma-5 pattern between rows [i] and [i+1]: a prefix of
-    columns tight at [α·x_i = x_{i+1}], a suffix tight at
-    [x_i = α·x_{i+1}], and at most one free column in between. *)
-let adjacent_row_pattern ~alpha m i =
+    columns tight at [α·x_i = x_{i+1}] (its length [c1]), a suffix
+    tight at [x_i = α·x_{i+1}] (starting at 1-based column [c2]), and
+    at most one free column in between: [c2 − c1 ∈ {1, 2}]. *)
+let adjacent_rows_ok ~alpha m i =
   let n = Mech.Mechanism.n m in
   let tight_lo j =
     Rat.equal
@@ -144,13 +139,13 @@ let adjacent_row_pattern ~alpha m i =
      done
    with Exit -> ());
   let gap = !c2 - !c1 in
-  { c1 = !c1; c2 = !c2; gap_ok = gap = 1 || gap = 2 }
+  gap = 1 || gap = 2
 
 let satisfies_lemma5 ~alpha m =
   let n = Mech.Mechanism.n m in
   let ok = ref true in
   for i = 0 to n - 1 do
-    if not (adjacent_row_pattern ~alpha m i).gap_ok then ok := false
+    if not (adjacent_rows_ok ~alpha m i) then ok := false
   done;
   !ok
 

@@ -1,5 +1,10 @@
 (** The optimal α-differentially-private mechanism for a single known
-    consumer (§2.5), by exact LP over the [(n+1)²] matrix entries. *)
+    consumer (§2.5), by exact LP over the [(n+1)²] matrix entries.
+
+    Serving never solves this LP: by Theorem 1, [G(n,α)] plus the
+    consumer's optimal interaction reaches the same loss ({!Serve}).
+    It is the Theorem-1 oracle that THM1, [dpopt optimal] and the tests
+    compare served losses against. *)
 
 type result = { mechanism : Mech.Mechanism.t; loss : Rat.t }
 
@@ -10,7 +15,7 @@ val build_problem :
     Exposed for tests and extensions. *)
 
 val solve_budgeted :
-  ?pricing:Lp.Simplex.Exact.pricing ->
+  ?pricing:Lp.pricing ->
   ?crash:bool ->
   ?budget:Lp.Budget.t ->
   ?solver:Lp.Solver.t ->
@@ -18,8 +23,7 @@ val solve_budgeted :
   Consumer.t ->
   (result, Lp.Solver_error.t) Stdlib.result
 (** Some optimal vertex, or the typed reason the solve stopped —
-    [Exhausted] when the budget (or an injected fault) ran out. The
-    degradation ladder in {!Serve} consumes the [Error] side. When
+    [Exhausted] when the budget (or an injected fault) ran out. When
     [solver] is given the solve runs through that session (its basis
     cache warm-starts repeated same-shaped solves; [pricing]/[crash]
     are then session-owned and ignored here); warm optima share the
@@ -27,7 +31,7 @@ val solve_budgeted :
     @raise Invalid_argument on a bad [alpha]. *)
 
 val solve :
-  ?pricing:Lp.Simplex.Exact.pricing ->
+  ?pricing:Lp.pricing ->
   ?crash:bool ->
   ?solver:Lp.Solver.t ->
   alpha:Rat.t ->
@@ -48,15 +52,6 @@ val solve_structured : alpha:Rat.t -> Consumer.t -> result
     geometric mechanism exactly. *)
 
 (** {1 Lemma 5 structure} *)
-
-type row_pattern = {
-  c1 : int;  (** length of the tight-below prefix *)
-  c2 : int;  (** 1-based start of the tight-above suffix *)
-  gap_ok : bool;  (** [c2 − c1 ∈ {1, 2}] *)
-}
-
-val adjacent_row_pattern : alpha:Rat.t -> Mech.Mechanism.t -> int -> row_pattern
-(** The boundary pattern between rows [i] and [i+1]. *)
 
 val satisfies_lemma5 : alpha:Rat.t -> Mech.Mechanism.t -> bool
 (** Every adjacent row pair exhibits the Lemma-5 pattern. *)

@@ -23,6 +23,7 @@ type served = {
   mechanism : Mech.Mechanism.t;
   loss : Rat.t;
   provenance : provenance;
+  certificates : Check.Invariants.certificate list;
 }
 
 exception Certification_failed of { rung : string; rule : string }
@@ -72,18 +73,27 @@ let provenance_to_json p =
       ("checks", Obs.Json.List (List.map (fun c -> Obs.Json.Str c) p.checks));
     ]
 
-(* Re-verify a candidate through the independent analyzer before
-   release. Derivability is only demanded where it holds by
-   construction: a tailored LP vertex need not factor through G. *)
-let certify ~alpha ~derivable m =
-  let matrix = Mech.Mechanism.matrix m in
-  let reports =
-    [ Check.Invariants.row_stochastic matrix; Check.Invariants.alpha_dp ~alpha matrix ]
-    @ (if derivable then [ Check.Invariants.derivability ~alpha matrix ] else [])
-  in
-  match List.find_opt (fun r -> not (Check.Invariants.passed r)) reports with
-  | Some r -> Error r.Check.Invariants.rule
-  | None -> Ok (List.map (fun r -> r.Check.Invariants.rule) reports)
+(* The one certification rule. Derivability is demanded wherever it
+   holds by construction — every rung [serve] builds factors through
+   G(n,α) — and waived only on legacy [Tailored] artifacts, whose LP
+   vertex need not. The ["serve.certify"] fault site fails the audit
+   on demand, so tests can reach the descent a failed certificate
+   takes. *)
+let certify ~alpha rung m =
+  match Resilience.Fault.trip "serve.certify" with
+  | exception Resilience.Fault.Injected { site = "serve.certify"; _ } -> Error "injected"
+  | () ->
+    let matrix = Mech.Mechanism.matrix m in
+    let reports =
+      [ Check.Invariants.row_stochastic matrix; Check.Invariants.alpha_dp ~alpha matrix ]
+      @
+      match rung with
+      | Tailored -> []
+      | Geometric_remap | Geometric_raw -> [ Check.Invariants.derivability ~alpha matrix ]
+    in
+    match List.find_opt (fun r -> not (Check.Invariants.passed r)) reports with
+    | Some r -> Error r.Check.Invariants.rule
+    | None -> Ok (List.filter_map (fun r -> r.Check.Invariants.certificate) reports)
 
 let spend_of_attempts attempts =
   List.fold_left
@@ -98,53 +108,39 @@ let serve ?budget ~alpha (consumer : Consumer.t) =
   Mech.Geometric.check_alpha alpha;
   let n = Consumer.n consumer in
   Obs.span ~attrs:[ ("n", Obs.Int n); ("alpha", Obs.Rat alpha) ] "core.serve" @@ fun () ->
-  let release rung attempts mechanism loss checks =
+  let release rung attempts mechanism loss certificates =
     let pivots_spent, peak_bits = spend_of_attempts attempts in
+    let checks = List.map (fun c -> c.Check.Invariants.cert_rule) certificates in
     {
       mechanism;
       loss;
-      provenance =
-        { rung; alpha; n; attempts = List.rev attempts; pivots_spent; peak_bits; checks };
+      provenance = { rung; alpha; n; attempts; pivots_spent; peak_bits; checks };
+      certificates;
     }
   in
-  let degrade rung reason =
+  let degrade reason =
     Obs.incr "resilience.degradations";
-    { attempted = rung; reason }
+    [ { attempted = Geometric_remap; reason } ]
   in
-  (* Rung 1: the tailored §2.5 LP. *)
-  let tailored_failure =
-    match Optimal_mechanism.solve_budgeted ?budget ~alpha consumer with
+  let geometric = Mech.Geometric.matrix ~n ~alpha in
+  (* Rung 1: G(n,α) + the optimal-interaction remap — the tailored
+     optimum by Theorem 1. *)
+  let remap =
+    match Optimal_interaction.solve_budgeted ?budget ~deployed:geometric consumer with
+    | Error e -> Error (degrade (Solver e))
     | Ok r -> (
-      match certify ~alpha ~derivable:false r.Optimal_mechanism.mechanism with
-      | Ok checks ->
-        Either.Left (release Tailored [] r.Optimal_mechanism.mechanism r.Optimal_mechanism.loss checks)
-      | Error rule -> Either.Right (degrade Tailored (Uncertified rule)))
-    | Error e -> Either.Right (degrade Tailored (Solver e))
+      let induced = r.Optimal_interaction.induced in
+      match certify ~alpha Geometric_remap induced with
+      | Ok certificates ->
+        Ok (release Geometric_remap [] induced r.Optimal_interaction.loss certificates)
+      | Error rule -> Error (degrade (Uncertified rule)))
   in
-  match tailored_failure with
-  | Either.Left served -> served
-  | Either.Right first ->
-    let geometric = Mech.Geometric.matrix ~n ~alpha in
-    (* Rung 2: G(n,α) + the optimal-interaction remap (Theorem 1). *)
-    let remap_failure =
-      match Optimal_interaction.solve_budgeted ?budget ~deployed:geometric consumer with
-      | Ok r -> (
-        match certify ~alpha ~derivable:true r.Optimal_interaction.induced with
-        | Ok checks ->
-          Either.Left
-            (release Geometric_remap [ first ] r.Optimal_interaction.induced
-               r.Optimal_interaction.loss checks)
-        | Error rule -> Either.Right (degrade Geometric_remap (Uncertified rule)))
-      | Error e -> Either.Right (degrade Geometric_remap (Solver e))
-    in
-    (match remap_failure with
-    | Either.Left served -> served
-    | Either.Right second -> (
-      (* Rung 3: raw G(n,α) — no LP, universally optimal by Theorem 2. *)
-      match certify ~alpha ~derivable:true geometric with
-      | Ok checks ->
-        release Geometric_raw [ second; first ] geometric
-          (Consumer.minimax_loss consumer geometric)
-          checks
-      | Error rule ->
-        raise (Certification_failed { rung = rung_to_string Geometric_raw; rule })))
+  match remap with
+  | Ok served -> served
+  | Error attempts -> (
+    (* Rung 2: raw G(n,α) — no LP, universally optimal by Theorem 2. *)
+    match certify ~alpha Geometric_raw geometric with
+    | Ok certificates ->
+      release Geometric_raw attempts geometric (Consumer.minimax_loss consumer geometric)
+        certificates
+    | Error rule -> raise (Certification_failed { rung = rung_to_string Geometric_raw; rule }))

@@ -1,32 +1,40 @@
 (** The end-to-end "serve this consumer" path: budgeted solving with
     certified graceful degradation to the geometric mechanism.
 
-    The ladder has three rungs, each cheaper and more universal than
-    the one above it:
+    The ladder has two rungs, and both release [G(n,α)] — the
+    universally optimal mechanism of Theorems 1–2 and of
+    Ghosh–Roughgarden–Sundararajan's Bayesian counterpart:
 
-    + {b Tailored} — the §2.5 optimal-mechanism LP for this exact
-      consumer.
     + {b Geometric_remap} — [G(n,α)] composed with the consumer's
-      optimal interaction (§2.4.3): near-lossless by Theorem 1, and a
-      much smaller LP (no differential-privacy rows).
-    + {b Geometric_raw} — [G(n,α)] itself, no LP at all: the
-      universally optimal mechanism of Theorems 1–2 and of
-      Ghosh–Roughgarden–Sundararajan's Bayesian counterpart.
+      optimal interaction (§2.4.3). By Theorem 1 its loss {e is} the
+      tailored §2.5 optimum, for every minimax consumer with a
+      monotone loss (every loss the request grammar admits), at a
+      fraction of the tailored LP's cost: the interaction LP has no
+      differential-privacy rows.
+    + {b Geometric_raw} — [G(n,α)] itself, no LP at all.
+
+    The tailored LP ({!Optimal_mechanism}) is not on the ladder; it
+    stays the Theorem-1 oracle that THM1, [dpopt optimal] and the tests
+    compare served losses against.
 
     A rung is taken when its solve succeeds {e and} the produced matrix
-    re-verifies through {!Check.Invariants} (row-stochasticity and
-    Definition-2 α-DP on every rung; Theorem-2 derivability on the
-    geometric rungs, where it holds by construction). Exhaustion of the
-    shared {!Lp.Budget.t}, an injected fault, or a failed certificate
-    all degrade to the next rung — a degraded answer is still a
-    certified private answer. Every descent bumps the
-    ["resilience.degradations"] counter.
+    re-verifies through {!certify}. Exhaustion of the {!Lp.Budget.t},
+    an injected fault, or a failed certificate all degrade the remap to
+    raw [G(n,α)] — a degraded answer is still a certified private
+    answer. Every descent bumps the ["resilience.degradations"]
+    counter.
 
     The returned {!provenance} is deterministic (no timestamps): the
     same consumer, budget outcome, and fault plan produce byte-identical
     {!provenance_to_string} output, which chaos tests assert. *)
 
-type rung = Tailored | Geometric_remap | Geometric_raw
+type rung =
+  | Tailored
+      (** the §2.5 LP vertex: never built by {!serve}; decoded only from
+          artifacts that earlier builds persisted with [rung=tailored],
+          so a store written before the ladder shrank still loads *)
+  | Geometric_remap
+  | Geometric_raw
 
 (** Why a rung was abandoned. *)
 type reason =
@@ -49,6 +57,9 @@ type served = {
   mechanism : Mech.Mechanism.t;
   loss : Rat.t;  (** the consumer's minimax loss of [mechanism] *)
   provenance : provenance;
+  certificates : Check.Invariants.certificate list;
+      (** replayable certificates earned through {!certify}; their
+          rules are [provenance.checks] *)
 }
 
 exception Certification_failed of { rung : string; rule : string }
@@ -56,8 +67,21 @@ exception Certification_failed of { rung : string; rule : string }
     unless [lib/mech] or [lib/check] is broken, and typed so even that
     breakage cannot release an uncertified matrix. *)
 
+val certify :
+  alpha:Rat.t ->
+  rung ->
+  Mech.Mechanism.t ->
+  (Check.Invariants.certificate list, string) Stdlib.result
+(** The one rule for which invariants a release on each rung must pass:
+    row-stochasticity and Definition-2 α-DP always, plus Theorem-2
+    derivability on every rung except legacy [Tailored]. [Ok] carries
+    one certificate per invariant, in that order; [Error] names the
+    first rule that failed. A firing ["serve.certify"] fault trigger
+    fails it with rule ["injected"]. *)
+
 val serve : ?budget:Lp.Budget.t -> alpha:Rat.t -> Consumer.t -> served
-(** Walk the ladder; always returns a certified mechanism.
+(** Walk the ladder; always returns a certified mechanism, never on the
+    [Tailored] rung.
     @raise Invalid_argument on a bad [alpha]
     @raise Certification_failed if even raw [G(n,α)] fails checks *)
 

@@ -12,8 +12,6 @@
 
 val schema : Schema.t
 
-val cities : string array
-
 val random_row :
   Prob.Rng.t -> flu_rate:float -> drug_rate_given_flu:float -> int -> Value.t array
 (** One synthetic individual; the [int] is used for the name. *)

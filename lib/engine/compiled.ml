@@ -2,7 +2,6 @@
 
 module M = Mech.Mechanism
 module S = Minimax.Serve
-module I = Check.Invariants
 
 type sampler = { mech : M.t; tables : Prob.Discrete.Alias.table array }
 
@@ -12,8 +11,6 @@ let sampler_of_mechanism mech =
     Array.init size (fun i -> Prob.Discrete.Alias.build (M.row_distribution mech i))
   in
   { mech; tables }
-
-let sampler_mechanism s = s.mech
 
 let draw s ~input rng =
   if input < 0 || input >= Array.length s.tables then
@@ -30,12 +27,7 @@ let draws s ~input ~count rng =
     Array.init count (fun _ -> Prob.Discrete.Alias.sample table rng)
   end
 
-type t = {
-  key : string;
-  served : S.served;
-  certificates : I.certificate list;
-  sampler : sampler;
-}
+type t = { key : string; served : S.served; sampler : sampler }
 
 exception Uncertified of { key : string; rule : string }
 
@@ -45,44 +37,28 @@ let () =
       Some (Printf.sprintf "Compiled.Uncertified(key=%s,rule=%s)" key rule)
     | _ -> None)
 
-(* Independent re-audit of the released mechanism. Serve already
-   certified it once; compiling re-runs the analyzer so the cached
-   artifact carries the actual replayable certificates, not just the
-   rule names, and so a cache can be audited without trusting the
-   ladder. Derivability is only demanded where it holds by
-   construction (the geometric rungs). *)
-let recertify ~key ~alpha (served : S.served) =
-  let matrix = M.matrix served.S.mechanism in
-  let reports =
-    [ I.row_stochastic matrix; I.alpha_dp ~alpha matrix ]
-    @
-    match served.S.provenance.S.rung with
-    | S.Tailored -> []
-    | S.Geometric_remap | S.Geometric_raw -> [ I.derivability ~alpha matrix ]
-  in
-  List.map
-    (fun (r : I.report) ->
-      match r.I.certificate with
-      | Some c -> c
-      | None -> raise (Uncertified { key; rule = r.I.rule }))
-    reports
-
 let compile ?budget ~alpha ~key consumer =
   Obs.span ~attrs:[ ("key", Obs.Str key) ] "engine.compile" @@ fun () ->
   let served = S.serve ?budget ~alpha consumer in
-  let certificates = recertify ~key ~alpha served in
   let sampler = sampler_of_mechanism served.S.mechanism in
   Obs.incr "engine.compiles";
-  { key; served; certificates; sampler }
+  { key; served; sampler }
 
 (* The warm-restart entry point: a release reconstituted from outside
    the serve ladder (e.g. deserialized from a disk store) earns its
-   certificates through the exact same audit a fresh compile does, so
-   an artifact that skipped the solver still cannot exist uncertified.
-   Deliberately does not bump "engine.compiles": no solve happened. *)
-let of_served ~key ~alpha served =
-  let certificates = recertify ~key ~alpha served in
-  { key; served; certificates; sampler = sampler_of_mechanism served.S.mechanism }
+   certificates by replaying the ladder's own certification for its
+   rung, so an artifact that skipped the solver still cannot exist
+   uncertified. Deliberately does not bump "engine.compiles": no solve
+   happened. *)
+let of_served ~key ~alpha (served : S.served) =
+  match S.certify ~alpha served.S.provenance.S.rung served.S.mechanism with
+  | Error rule -> raise (Uncertified { key; rule })
+  | Ok certificates ->
+    {
+      key;
+      served = { served with S.certificates };
+      sampler = sampler_of_mechanism served.S.mechanism;
+    }
 
 let rung t = t.served.S.provenance.S.rung
 let loss t = t.served.S.loss

@@ -1,10 +1,12 @@
 (** Compiled mechanisms: solve once, certify once, sample in O(1).
 
-    A {!t} is what the engine caches per distinct consumer: the served
-    mechanism from the {!Minimax.Serve} degradation ladder, the
-    {!Check.Invariants} certificates earned on release, and one
-    {!Prob.Discrete.Alias} table per mechanism row so answering a query
-    costs O(1) per sample instead of an O(n)-rational CDF walk.
+    A {!t} is what the engine caches per distinct consumer: the release
+    from the {!Minimax.Serve} degradation ladder — mechanism, loss,
+    provenance and the {!Check.Invariants} certificates the ladder
+    earned on it, computed once by {!Minimax.Serve.certify} and never
+    recomputed on a fresh compile — and one {!Prob.Discrete.Alias}
+    table per mechanism row so answering a query costs O(1) per sample
+    instead of an O(n)-rational CDF walk.
 
     The alias tables sample the float image of each exact row; the
     released matrix itself (and everything certified about it) stays
@@ -21,8 +23,6 @@ type sampler
 val sampler_of_mechanism : Mech.Mechanism.t -> sampler
 (** Build all [n+1] row tables; O(n²) once. *)
 
-val sampler_mechanism : sampler -> Mech.Mechanism.t
-
 val draw : sampler -> input:int -> Prob.Rng.t -> int
 (** One O(1) alias draw from row [input].
     @raise Invalid_argument on an out-of-range input. *)
@@ -35,32 +35,29 @@ val draws : sampler -> input:int -> count:int -> Prob.Rng.t -> int array
 
 type t = {
   key : string;  (** the {!Request.canonical_key} this artifact serves *)
-  served : Minimax.Serve.served;  (** mechanism, loss, and provenance *)
-  certificates : Check.Invariants.certificate list;
-      (** replayable certificates for every invariant re-verified on
-          the release — non-empty by construction *)
+  served : Minimax.Serve.served;
+      (** mechanism, loss, provenance, and certificates — non-empty by
+          construction *)
   sampler : sampler;
 }
 
 exception Uncertified of { key : string; rule : string }
-(** {!compile} found a released mechanism failing re-certification —
-    impossible unless [lib/core] or [lib/check] is broken; typed so
-    even that breakage cannot put an uncertified artifact in a cache. *)
+(** {!of_served} found a reconstituted release failing
+    re-certification; typed so it cannot put an uncertified artifact in
+    a cache. *)
 
 val compile : ?budget:Lp.Budget.t -> alpha:Rat.t -> key:string -> Minimax.Consumer.t -> t
-(** Run the serve ladder, re-verify the release through
-    {!Check.Invariants} (row-stochasticity and α-DP always; Theorem-2
-    derivability on geometric rungs), and build the alias tables.
-    Emits an ["engine.compile"] span.
-    @raise Uncertified if any re-verification fails *)
+(** Run the serve ladder — which certifies its release — and build the
+    alias tables. Emits an ["engine.compile"] span.
+    @raise Minimax.Serve.Certification_failed as {!Minimax.Serve.serve}
+    does *)
 
 val of_served : key:string -> alpha:Rat.t -> Minimax.Serve.served -> t
 (** Admit an externally reconstituted release (e.g. one deserialized
-    from a disk artifact store) through the exact audit {!compile}
-    applies: the release is re-verified via {!Check.Invariants} and the
-    alias tables are rebuilt, so the returned artifact carries freshly
-    replayed certificates rather than trusted ones. Never bumps
-    ["engine.compiles"] — no solve happened.
+    from a disk artifact store) through {!Minimax.Serve.certify} for
+    its recorded rung: the returned artifact carries freshly replayed
+    certificates, never the ones [served] claims, and rebuilt alias
+    tables. Never bumps ["engine.compiles"] — no solve happened.
     @raise Uncertified if any re-verification fails *)
 
 val rung : t -> Minimax.Serve.rung

@@ -38,7 +38,6 @@ let create ?domains ?(cache_capacity = 64) ?budget ?tier () =
 
 let domains t = Pool.domains t.pool
 let cache_stats t = Cache.stats t.cache
-let cached_keys t = Cache.keys t.cache
 
 type response = {
   request : Request.t;
@@ -139,7 +138,6 @@ let run_jobs t (jobs : job array) =
         with_job_trace j @@ fun () ->
         match resolve ?budget:j.budget t j.request with
         | r -> Ok r
-        | exception Compiled.Uncertified { key; rule } -> Error (Uncertified { key; rule })
         | exception Minimax.Serve.Certification_failed { rung; rule } ->
           Error
             (Uncertified

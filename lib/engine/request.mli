@@ -152,9 +152,6 @@ val canonical_key : t -> string
 (** The consumer part only — [input]/[count] never enter the key. Equal
     keys mean one cached solve serves both requests. *)
 
-val loss_fn : t -> Minimax.Loss.t
 val side_info : t -> Minimax.Side_info.t
 val consumer : t -> Minimax.Consumer.t
 
-val loss_spec_to_string : loss_spec -> string
-val side_spec_to_string : side_spec -> string

@@ -28,27 +28,16 @@ module Make (F : Field.S) = struct
       List.iter (fun r -> if List.length r <> cols then invalid_arg "Matrix.of_rows: ragged rows") rows;
       Array.of_list (List.map Array.of_list rows)
 
-  let of_arrays (a : F.t array array) : t =
-    let m = Array.map Array.copy a in
-    (match Array.length m with
-     | 0 -> ()
-     | _ ->
-       let cols = Array.length m.(0) in
-       Array.iter (fun r -> if Array.length r <> cols then invalid_arg "Matrix.of_arrays: ragged rows") m);
-    m
-
   let copy (m : t) : t = Array.map Array.copy m
   let rows (m : t) = Array.length m
   let cols (m : t) = if Array.length m = 0 then 0 else Array.length m.(0)
   let get (m : t) i j = m.(i).(j)
   let row (m : t) i : vec = Array.copy m.(i)
   let column (m : t) j : vec = Array.init (rows m) (fun i -> m.(i).(j))
-  let to_arrays (m : t) = copy m
 
   let transpose (m : t) : t = init (cols m) (rows m) (fun i j -> m.(j).(i))
 
   let map f (m : t) : t = Array.map (Array.map f) m
-  let mapij f (m : t) : t = Array.mapi (fun i r -> Array.mapi (fun j x -> f i j x) r) m
 
   (* ---------------------------------------------------------------- *)
   (* Algebra                                                          *)

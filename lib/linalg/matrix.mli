@@ -18,19 +18,14 @@ module Make (F : Field.S) : sig
   val of_rows : F.t list list -> t
   (** @raise Invalid_argument on ragged rows. *)
 
-  val of_arrays : F.t array array -> t
-  (** Defensive copy. @raise Invalid_argument on ragged rows. *)
-
   val copy : t -> t
   val rows : t -> int
   val cols : t -> int
   val get : t -> int -> int -> F.t
   val row : t -> int -> vec
   val column : t -> int -> vec
-  val to_arrays : t -> F.t array array
   val transpose : t -> t
   val map : (F.t -> F.t) -> t -> t
-  val mapij : (int -> int -> F.t -> F.t) -> t -> t
 
   (** {1 Algebra} *)
 
@@ -57,17 +52,12 @@ module Make (F : Field.S) : sig
   (** Partial-pivoting elimination; exact over exact fields.
       @raise Invalid_argument when not square. *)
 
-  val gauss_jordan : t -> t -> t option
-  (** [gauss_jordan a rhs] reduces [[a | rhs]]; [None] when [a] is
-      singular. *)
-
   val inverse : t -> t option
   val solve : t -> vec -> vec option
   val rank : t -> int
 
   (** {1 Stochastic-matrix predicates} *)
 
-  val row_sums : t -> vec
   val is_nonnegative : t -> bool
 
   val is_generalized_stochastic : t -> bool

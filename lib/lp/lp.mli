@@ -2,15 +2,13 @@
 
     A small modelling layer — named variables, a linear-expression DSL,
     [<=]/[>=]/[=] constraints, min/max objectives — compiled to
-    standard form and solved by the exact two-phase simplex in
-    {!Simplex}. All coefficients are exact rationals; see DESIGN.md for
+    standard form and solved by the exact two-phase revised simplex in
+    {!Revised}. All coefficients are exact rationals; see DESIGN.md for
     why exactness matters in this repository. *)
-
-module Simplex = Simplex
 
 module Revised = Revised
 (** Re-export: the revised-simplex engine {!Solver} sessions run on;
-    exposed for tests that pit it against the tableau oracle. *)
+    its sparse matrix type is the one {!standard} carries. *)
 
 module Budget = Resilience.Budget
 (** Re-export: callers write [Lp.Budget.make ~deadline_ms:50 ()]
@@ -18,6 +16,10 @@ module Budget = Resilience.Budget
 
 module Solver_error = Resilience.Solver_error
 (** Re-export: the one taxonomy every failed solve reports through. *)
+
+type pricing = Revised.pricing =
+  | Dantzig_lex  (** most-negative reduced cost + lexicographic ratio test (default) *)
+  | Bland  (** smallest-index anti-cycling rule; slow but unconditionally terminating *)
 
 type var = int
 (** Variable id, scoped to the problem that created it; indexes the
@@ -63,7 +65,6 @@ val fresh_var : ?name:string -> ?lb:Rat.t option -> problem -> var
 (** New decision variable. [lb] defaults to [Some Rat.zero]
     (non-negative); [None] makes the variable free. *)
 
-val n_vars : problem -> int
 val n_constraints : problem -> int
 val var_name : problem -> var -> string
 
@@ -73,7 +74,6 @@ val constraint_name : problem -> int -> string
     {!Solver.solve} are indexed compatibly.
     @raise Invalid_argument when out of range. *)
 
-val add_constraint : ?name:string -> problem -> linexpr -> relation -> Rat.t -> unit
 val add_le : ?name:string -> problem -> linexpr -> Rat.t -> unit
 val add_ge : ?name:string -> problem -> linexpr -> Rat.t -> unit
 val add_eq : ?name:string -> problem -> linexpr -> Rat.t -> unit
@@ -89,14 +89,6 @@ type outcome = Optimal of solution | Failed of Solver_error.t
     problems (α-sweeps, consumer-family loops) warm-start each solve
     from the previous optimum's basis automatically. *)
 module Solver : sig
-  (** [Revised] (default) is the sparse revised simplex with a
-      product-form basis factorization; [Tableau] is the retained dense
-      full-tableau oracle. Cold solves of the two are byte-identical —
-      the revised engine replicates the oracle's pivot decisions in
-      exact arithmetic — which the qcheck property and the [@lp-bench]
-      gate both enforce. *)
-  type engine = Revised | Tableau
-
   type warm_status = Revised.warm_outcome = Cold | Warm_hit | Warm_miss
 
   type stats = {
@@ -128,10 +120,9 @@ module Solver : sig
 
   type t
 
-  val create : ?engine:engine -> ?pricing:Simplex.Exact.pricing -> ?crash:bool -> unit -> t
-  (** A fresh session. [engine] defaults to [Revised]; the pricing and
-      crash knobs exist for the ablation bench and apply to every solve
-      through this session. *)
+  val create : ?pricing:pricing -> ?crash:bool -> unit -> t
+  (** A fresh session. The pricing and crash knobs exist for the
+      ablation bench and apply to every solve through this session. *)
 
   val solve : ?budget:Budget.t -> ?warm:basis -> t -> problem -> result
   (** Exact solve through the session. Without [?warm], the session's
@@ -147,28 +138,46 @@ module Solver : sig
 end
 
 val solve :
-  ?pricing:Simplex.Exact.pricing ->
+  ?pricing:pricing ->
   ?crash:bool ->
   ?budget:Budget.t ->
   problem ->
   outcome
-(** One-shot exact solve: a fresh {!Solver} session per call, revised
-    engine, no warm start. The optional solver knobs exist for the
+(** One-shot exact solve: a fresh {!Solver} session per call, no warm
+    start. The optional solver knobs exist for the
     ablation bench; the defaults are right for all other callers. *)
 
 val check_solution : problem -> solution -> bool
 (** Independent certificate: every constraint, bound, and the claimed
     objective re-evaluated against the solution values. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
+(** {1 Standard form}
 
-(** {1 Floating-point mirror (for the numeric ablation)} *)
+    The form every solve compiles a {!problem} to, exposed so the
+    test-only tableau oracle ([lp_oracle]) can solve exactly what
+    {!Solver} solves and map its optimum back. *)
 
-type float_solution = { fobjective : float; fvalues : float array }
-type float_outcome = Foptimal of float_solution | Finfeasible | Funbounded
+type standard = {
+  a : Revised.csc;
+  b : Rat.t array;
+  c : Rat.t array;
+      (** [min c·x' s.t. A x' = b, x' >= 0]: one column per bounded
+          variable (shifted to lower bound 0), a [(x⁺, x⁻)] pair per
+          free one, then a slack or surplus per inequality row *)
+  col_of_var : int array;  (** each model variable's (x⁺) column *)
+  neg_col_of_var : int array;  (** a free variable's x⁻ column; [-1] otherwise *)
+  lower : Rat.t option array;  (** each variable's shift; [None] = free *)
+  flip : bool;  (** a [Maximize] model: [c] is the negated objective *)
+  obj_shift : Rat.t;  (** objective constant plus lower-bound shifts *)
+}
 
-val solve_float : ?pricing:Simplex.Exact.pricing -> problem -> float_outcome
-(** The same compiled model, solved by the float simplex under the
-    requested pricing rule (translated to the float instance's
-    constructors). Fast but untrustworthy on degenerate instances — see
-    the ABL2 bench. *)
+val standard_form : problem -> standard
+
+val recover :
+  standard ->
+  (Rat.t * Rat.t array, Solver_error.t) Stdlib.result ->
+  Rat.t array option ->
+  outcome * Rat.t array option
+(** [recover sf raw duals] maps a raw standard-form result — objective
+    and primal point, or the failure — and its per-row duals back to
+    model coordinates and {!Solver.result} dual signs. *)

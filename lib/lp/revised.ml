@@ -1,6 +1,7 @@
 (* Revised primal simplex over exact rationals; see revised.mli.
 
-   Decision-for-decision replication of Simplex.Exact's dense tableau:
+   Decision-for-decision replication of the dense tableau oracle
+   (the test-only [lp_oracle] library's Simplex.Exact):
    every quantity the oracle reads off the tableau (reduced costs,
    ratio columns, lexicographic scores) is recomputed here from the
    factorized basis inverse — exactly, in ℚ — so the branch structure
@@ -20,6 +21,8 @@ type csc = {
   rowi : int array;
   vals : R.t array;
 }
+
+type pricing = Dantzig_lex | Bland
 
 type result =
   | Optimal of R.t * R.t array
@@ -313,7 +316,7 @@ let stall_threshold = 600
 (* The optimize loop, mirroring Simplex.optimize's structure.
    [cost_of] gives the active objective coefficient per column. *)
 let optimize ~pricing ~guard ~site st ~allowed_n ~cost_of =
-  let use_bland = ref (pricing = Simplex.Exact.Bland) in
+  let use_bland = ref (pricing = Bland) in
   let stall = ref 0 in
   let u = st.w_col in
   let do_pivot ~row ~col =
@@ -513,7 +516,7 @@ let fresh_state ~m ~n ~n_art ~cp ~ri ~vx ~art_row ~row_mult ~basis ~bt =
     pivots_total = 0;
   }
 
-let solve ?(pricing = Simplex.Exact.Dantzig_lex) ?(crash = true) ?budget ?warm
+let solve ?(pricing = Dantzig_lex) ?(crash = true) ?budget ?warm
     ~(a : csc) ~(b : R.t array) ~(c : R.t array) () : solved =
   let guard = make_guard budget in
   let m = a.m and n = a.n in

@@ -1,12 +1,13 @@
 (** Revised primal simplex with a product-form basis factorization.
 
-    Solves the same standard-form problem as the dense oracle in
-    {!Simplex} — {v min c.x  s.t.  A x = b, x >= 0 v} — but stores the
+    Solves the same standard-form problem as the dense full-tableau
+    oracle ([Simplex.Exact] in the test-only [lp_oracle] library) —
+    {v min c.x  s.t.  A x = b, x >= 0 v} — but stores the
     constraint matrix column-wise and sparse (CSC over {!Rat.t}) and
     replaces full-tableau pivots with an incrementally updated eta
     chain (FTRAN/BTRAN), refactorized periodically. Pricing, ratio
     test, lexicographic tie-break, stall accounting, and the Bland
-    fallback replicate {!Simplex.Exact}'s decisions {e exactly} (same
+    fallback replicate the oracle's decisions {e exactly} (same
     scan orders, same strict comparisons, exact ℚ arithmetic), so a
     cold solve visits the same pivot sequence and returns byte-identical
     objective, solution, and duals — the qcheck property and the
@@ -28,6 +29,11 @@ type csc = {
   rowi : int array;  (** row index of each stored entry *)
   vals : Rat.t array;  (** entry values *)
 }
+
+(** Pricing rule: which improving column enters the basis. *)
+type pricing =
+  | Dantzig_lex  (** most-negative reduced cost + lexicographic ratio test (default) *)
+  | Bland  (** smallest-index anti-cycling rule; slow but unconditionally terminating *)
 
 type result =
   | Optimal of Rat.t * Rat.t array  (** objective value, primal solution *)
@@ -51,7 +57,7 @@ type solved = {
 }
 
 val solve :
-  ?pricing:Simplex.Exact.pricing ->
+  ?pricing:pricing ->
   ?crash:bool ->
   ?budget:Resilience.Budget.t ->
   ?warm:int array ->

@@ -15,9 +15,6 @@ type violation = {
   slack : Rat.t;  (** [(1+α²)·x2 − α·(x1+x3)], negative for violations *)
 }
 
-val condition_violations : alpha:Rat.t -> Mechanism.t -> violation list
-(** All violations of the three-consecutive-entries condition. *)
-
 val satisfies_condition : alpha:Rat.t -> Mechanism.t -> bool
 
 val factor : alpha:Rat.t -> Mechanism.t -> Rat.t array array

@@ -30,12 +30,6 @@ val unbounded_pmf : alpha:Rat.t -> center:int -> int -> Rat.t
 (** Mass of the unbounded mechanism's output at [z] given the true
     value [center]. *)
 
-val sample_noise : alpha:Rat.t -> Prob.Rng.t -> int
-(** Sample the two-sided geometric noise [Z] of Definition 1. *)
-
-val sample_unbounded : alpha:Rat.t -> input:int -> Prob.Rng.t -> int
-(** The unbounded mechanism: true result plus noise. *)
-
 val sample_clamped : n:int -> alpha:Rat.t -> input:int -> Prob.Rng.t -> int
 (** Unbounded draw clamped into [{0..n}] — tests verify this induces
     exactly [matrix ~n ~alpha]. *)

@@ -488,11 +488,6 @@ let with_trace ?(parent = 0) tr f =
         s.open_rev <- prev_open)
       f
 
-let current_trace () =
-  match !ambient with
-  | None -> None
-  | Some r -> (shard_of r).trace
-
 let counter_cell s name =
   match Hashtbl.find_opt s.s_counters name with
   | Some c -> c
@@ -669,19 +664,6 @@ let merge_into ~into src =
         (fun k w -> Rolling.merge ~into:(rolling_cell dst k) w)
         s.s_rollings)
     shards
-
-let reset r =
-  Mutex.protect r.mu (fun () ->
-      List.iter
-        (fun s ->
-          s.sdepth <- 0;
-          s.spans_rev <- [];
-          s.open_rev <- [];
-          s.trace <- None;
-          Hashtbl.reset s.s_counters;
-          Hashtbl.reset s.s_histograms;
-          Hashtbl.reset s.s_rollings)
-        r.shards)
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)

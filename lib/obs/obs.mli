@@ -124,7 +124,6 @@ module Histogram : sig
   val buckets : t -> (int * int) list
   (** Non-empty buckets as [(bucket_index, count)], ascending. *)
 
-  val merge : into:t -> t -> unit
 end
 
 (** {1 Rolling latency windows}
@@ -206,9 +205,6 @@ val with_trace : ?parent:int -> Trace.t -> (unit -> 'a) -> 'a
     {!Trace.root} to hang their spans under the request's admission
     span. No-op when disabled. *)
 
-val current_trace : unit -> Trace.t option
-(** The trace context current on this domain, if any. *)
-
 val incr : ?by:int -> string -> unit
 (** Bump a named counter (created at zero on first use). Resilience
     events flow through here too: ["resilience.degradations"] counts
@@ -261,15 +257,11 @@ val rollings : t -> (string * Rolling.snapshot) list
 (** Every rolling window, snapshotted at the recorder clock's current
     reading; sorted by name. *)
 
-val rolling : t -> string -> Rolling.snapshot option
-
 val merge_into : into:t -> t -> unit
 (** Add [src]'s counters, histograms and rolling windows into [into]
     (into the calling domain's shard of it). Spans are not merged:
     their timestamps are only meaningful against their own recorder's
     clock and epoch. *)
-
-val reset : t -> unit
 
 (** {1 Sinks} *)
 

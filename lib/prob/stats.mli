@@ -9,15 +9,6 @@ val summarize : int array -> summary
 val empirical : int array -> Discrete.t
 (** Empirical distribution of a sample. *)
 
-val chi_square : ?min_expected:float -> int array -> Discrete.t -> float * int
-(** Pearson χ² statistic of the sample against the target, with cells
-    pooled until each expects at least [min_expected] (default 5)
-    observations. Returns [(statistic, degrees_of_freedom)]. *)
-
-val chi_square_critical_p001 : int -> float
-(** Approximate χ² critical value at significance ≈0.001
-    (Wilson–Hilferty). *)
-
 val fits : ?min_expected:float -> int array -> Discrete.t -> bool
 (** Does the sample pass the χ² goodness-of-fit test at the ≈0.1%
     level? *)

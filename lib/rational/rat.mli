@@ -48,7 +48,6 @@ val to_decimal_string : ?places:int -> t -> string
 val sign : t -> int
 val is_zero : t -> bool
 val is_one : t -> bool
-val is_integer : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val min : t -> t -> t

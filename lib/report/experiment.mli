@@ -34,17 +34,13 @@ type outcome = {
           run — pivot counts, coefficient-bit histograms, etc. *)
 }
 
-val run_collect : ?clock:Obs.Clock.t -> ?observe:bool -> t -> outcome
-(** Run one experiment silently. With [observe] (default false) a
-    fresh {!Obs.t} recorder is ambient for the duration of the run and
-    returned in the outcome; any previously installed recorder is
-    restored afterwards. *)
-
 val run_streamed : ?out:(string -> unit) -> ?clock:Obs.Clock.t -> ?observe:bool -> t -> outcome
-(** {!run_collect} plus the human-readable report (header, detail,
-    verdict, timing) written to [out] (default [print_string]). The
+(** Run one experiment and write its human-readable report (header,
+    detail, verdict, timing) to [out] (default [print_string]). The
     header is printed before the experiment runs, so long runs stream
-    progress. *)
+    progress. With [observe] (default false) a fresh {!Obs.t} recorder
+    is ambient for the duration of the run and returned in the outcome;
+    any previously installed recorder is restored afterwards. *)
 
 val run_one : ?out:(string -> unit) -> t -> verdict
 (** Run and print one experiment; the verdict alone. *)

@@ -25,7 +25,6 @@ let () =
    reads are single-word stores/loads of an immutable option; the
    plan's own trip counters serialize behind its mutex. *)
 let ambient : plan option ref = ref None
-let install p = ambient := p
 let enabled () = !ambient <> None
 
 (* Domain safety: worker Domains hit trigger sites concurrently
@@ -70,8 +69,5 @@ let trip site =
   match hit_numbered site with
   | None -> ()
   | Some (_, n) -> raise (Injected { site; hit = n })
-
-let hit_count p site =
-  Mutex.protect lock (fun () -> try Hashtbl.find p.counts site with Not_found -> 0)
 
 let trips p = Mutex.protect lock (fun () -> p.trips)

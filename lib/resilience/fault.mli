@@ -48,9 +48,6 @@ exception Injected of { site : string; hit : int }
     choose to re-raise). Carries the site and the 1-based hit number
     that fired. *)
 
-val install : plan option -> unit
-(** Install or remove the ambient plan. *)
-
 val with_plan : plan -> (unit -> 'a) -> 'a
 (** Run with [p] ambient, restoring the previous plan on exit (also on
     exceptions). *)
@@ -66,9 +63,6 @@ val hit : string -> action option
 val trip : string -> unit
 (** [trip site] is [hit site] for sites with no budget machinery:
     any firing trigger raises {!Injected}. *)
-
-val hit_count : plan -> string -> int
-(** Hits recorded so far at [site] (0 if never hit). *)
 
 val trips : plan -> int
 (** Total triggers fired so far under this plan. *)

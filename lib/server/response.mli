@@ -6,10 +6,12 @@
     ad-hoc shapes those paths used to emit:
 
     - [{"v":1,"status":"ok","id"?,"key","rung","loss","samples"}] —
-      served on the rung the ladder started at;
-    - [..."status":"degraded"...,"provenance":{...}] — served, but the
-      ladder abandoned at least one rung on the way; the provenance
-      names every abandoned rung and why;
+      served on the rung the ladder started at, [geometric+remap]
+      (the tailored optimum, by Theorem 1): every unbudgeted answer is
+      [ok];
+    - [..."status":"degraded"...,"provenance":{...}] — served on raw
+      [geometric] because the ladder abandoned the remap rung; the
+      provenance names it and why;
     - [{"v":1,"status":"error","id"?,"error":{"kind","msg",...}}] — a
       typed refusal; [kind] is stable and machine-dispatchable, and
       structured fields ([pending]/[capacity], [key]/[rule], ...)
@@ -103,9 +105,6 @@ val release_pushes : Session.release -> t list
 val with_id : string option -> t -> t
 (** Replace the echoed id — how a push line gets stamped with its
     subscriber's subscribe-time tag. *)
-
-val error_kind : error -> string
-(** Stable machine-readable tag, the JSON ["kind"] field. *)
 
 val error_message : error -> string
 val status : t -> string

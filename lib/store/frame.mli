@@ -24,9 +24,6 @@ val error_to_string : error -> string
 
 val format_version : int
 
-val encode : string -> string
-(** Wrap a payload in a frame: magic, version, length, payload, MD5. *)
-
 val decode : string -> (string, error) result
 (** Recover the payload, checking truncation before magic, magic
     before version, version before checksum — so a foreign or future
@@ -44,5 +41,3 @@ val is_temp : string -> bool
 (** Does a basename carry the [.tmp.<pid>] infix a killed writer
     leaves behind? Such files were never renamed into place. *)
 
-val fsync_dir : string -> (unit, error) result
-(** Flush directory metadata so a completed rename survives a crash. *)

@@ -149,7 +149,7 @@ let payload_of_artifact (c : Compiled.t) =
          ("loss", J.rat served.S.loss);
          ("provenance", provenance_to_json served.S.provenance);
          ("matrix", matrix_to_json (Mech.Mechanism.matrix served.S.mechanism));
-         ("certificates", J.List (List.map certificate_to_json c.Compiled.certificates));
+         ("certificates", J.List (List.map certificate_to_json served.S.certificates));
        ])
 
 (* --- decoding ----------------------------------------------------- *)
@@ -323,11 +323,11 @@ let verify_payload ~expect_key payload =
       | exception Mech.Mechanism.Not_stochastic _ ->
         Error (Uncertified { rule = "row-stochastic" })
       | mechanism -> (
-        let served = { S.mechanism; loss; provenance } in
+        let served = { S.mechanism; loss; provenance; certificates } in
         match Compiled.of_served ~key ~alpha:req.Request.alpha served with
         | exception Compiled.Uncertified { rule; _ } -> Error (Uncertified { rule })
         | c ->
-          if c.Compiled.certificates <> certificates then
+          if c.Compiled.served.S.certificates <> certificates then
             Error (Corrupt "stored certificates disagree with replayed ones")
           else
             let recomputed =

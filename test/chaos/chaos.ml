@@ -8,7 +8,12 @@
      fires inside the LP, [Minimax.Serve.serve] still returns a
      mechanism for each example consumer, its provenance names the
      ladder rung taken, and [Check.Invariants] independently certifies
-     α-DP (plus Theorem-2 derivability on geometric rungs);
+     α-DP and Theorem-2 derivability (both rungs release G(n,α));
+
+   - the certification site ("serve.certify"): a failed remap
+     certificate drops the ladder to raw G(n,α), still certified, and
+     a failed bottom-rung certificate raises
+     [Minimax.Serve.Certification_failed] instead of releasing;
 
    - non-solver sites ("matrix.inverse", "mech.factor",
      "multilevel.stage", "dpdb.csv.row"): the injected fault surfaces
@@ -77,9 +82,9 @@ let certified_serve label plan ~budget =
         let m = Mech.Mechanism.matrix s.S.mechanism in
         let rung = s.S.provenance.S.rung in
         check (label ^ ": provenance names a rung") (S.rung_to_string rung <> "");
+        check (label ^ ": serve never builds the tailored rung") (rung <> S.Tailored);
         check (label ^ ": alpha-dp certified") (I.passed (I.alpha_dp ~alpha m));
-        if rung <> S.Tailored then
-          check (label ^ ": derivability certified") (I.passed (I.derivability ~alpha m)))
+        check (label ^ ": derivability certified") (I.passed (I.derivability ~alpha m)))
     consumers
 
 let solver_matrix () =
@@ -109,6 +114,39 @@ let solver_matrix () =
       (List.map (fun site -> { F.site; hits = 0; action = F.Exhaust E.Pivots }) solver_sites)
   in
   certified_serve "all-sites-exhausted" plan ~budget:None
+
+(* ------------------------------------------------------------------ *)
+(* Certification site: a failed certificate descends or refuses.      *)
+(* ------------------------------------------------------------------ *)
+
+(* [serve.certify] runs on every release [serve] makes (and on every
+   store load, which store_chaos covers). Each scenario gets a fresh
+   plan so its hit count starts at zero. *)
+let certify_hits = [ 1; 0 ]
+
+let certify_matrix () =
+  List.iter
+    (fun (lname, loss) ->
+      let consumer = Minimax.Consumer.make ~loss ~side_info:(Minimax.Side_info.full n) () in
+      List.iter
+        (fun hits ->
+          let label = Printf.sprintf "site=serve.certify hits=%d consumer=%s" hits lname in
+          let p = F.plan [ { F.site = "serve.certify"; hits; action = F.Trip } ] in
+          match (hits, F.with_plan p (fun () -> S.serve ~alpha consumer)) with
+          | 1, s ->
+            let m = Mech.Mechanism.matrix s.S.mechanism in
+            check (label ^ ": released raw G(n,alpha)")
+              (s.S.provenance.S.rung = S.Geometric_raw);
+            check (label ^ ": exactly one trip") (F.trips p = 1);
+            check (label ^ ": alpha-dp certified") (I.passed (I.alpha_dp ~alpha m));
+            check (label ^ ": derivability certified") (I.passed (I.derivability ~alpha m))
+          | _, _ -> check (label ^ ": released with every certificate failing") false
+          | exception S.Certification_failed { rung; _ } ->
+            check (label ^ ": refused on the bottom rung")
+              (hits = 0 && rung = S.rung_to_string S.Geometric_raw)
+          | exception e -> check (label ^ ": serve raised " ^ Printexc.to_string e) false)
+        certify_hits)
+    consumers
 
 (* ------------------------------------------------------------------ *)
 (* Non-solver sites: clean Injected, no state corruption.             *)
@@ -186,7 +224,7 @@ let engine_matrix () =
             (fun (r : En.response) ->
               match En.artifact e r.En.request with
               | None -> true (* bypassed compiles never enter the cache *)
-              | Some a -> a.En.Compiled.certificates <> [])
+              | Some a -> a.En.Compiled.served.Minimax.Serve.certificates <> [])
             rs
         in
         (rs, En.cache_stats e, cached_certified))
@@ -305,11 +343,13 @@ let server_matrix () =
 
 let () =
   solver_matrix ();
+  certify_matrix ();
   trip_matrix ();
   engine_matrix ();
   server_matrix ();
   let scenarios =
     (List.length solver_sites * List.length actions * 2 + 1) * List.length consumers
+    + (List.length certify_hits * List.length consumers)
     + List.length trip_sites
     + List.length engine_scenarios
     + server_scenario_count
@@ -319,9 +359,10 @@ let () =
     exit 1
   end;
   Printf.printf
-    "chaos: clean (%d scenarios: %d solver-site plans x %d consumers, %d trip sites, %d \
-     engine scenarios, %d server scenarios)\n"
+    "chaos: clean (%d scenarios: %d solver-site plans x %d consumers, %d certify plans x \
+     %d consumers, %d trip sites, %d engine scenarios, %d server scenarios)\n"
     scenarios
     (List.length solver_sites * List.length actions * 2 + 1)
-    (List.length consumers) (List.length trip_sites) (List.length engine_scenarios)
+    (List.length consumers) (List.length certify_hits) (List.length consumers)
+    (List.length trip_sites) (List.length engine_scenarios)
     server_scenario_count

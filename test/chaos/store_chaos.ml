@@ -161,6 +161,20 @@ let verify_trip () =
       check "store.verify trip: recompiles healed the store"
         ((St.stats s).St.writes = Array.length requests))
 
+(* 4b. A failed certificate on replay: the first store load's
+   [serve.certify] audit trips, so that entry is refused as
+   uncertified, counted corrupt and recompiled (the recompile's own
+   audits pass), and the write-back heals it. *)
+let certify_trip () =
+  let p = F.plan [ { F.site = "serve.certify"; hits = 1; action = F.Trip } ] in
+  warm_after "serve.certify trip" ~plan:p
+    ~sabotage:(fun _ _ -> ())
+    (fun s rs ->
+      check "serve.certify trip: exactly one trip" (F.trips p = 1);
+      check "serve.certify trip: exactly one refusal" ((St.stats s).St.corrupt = 1);
+      check "serve.certify trip: the other entry still hit" (store_hits rs = 1);
+      check "serve.certify trip: write-back healed the entry" ((St.stats s).St.writes = 1))
+
 (* 5. Torn write: an entry truncated mid-frame reads as Corrupt, the
    request recompiles, and the write-back heals the entry. *)
 let torn_write () =
@@ -236,6 +250,7 @@ let scenarios =
     ("read-trip", read_trip);
     ("write-trip", write_trip);
     ("verify-trip", verify_trip);
+    ("certify-trip", certify_trip);
     ("torn-write", torn_write);
     ("bit-flip", bit_flip);
     ("foreign-file", foreign_file);

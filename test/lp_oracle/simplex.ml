@@ -5,11 +5,9 @@
 
     {v min c.x  subject to  A x = b,  x >= 0 v}
 
-    The functor form gives both an exact solver (over {!Field.Rational},
-    the default throughout the reproduction: optimal privacy mechanisms
-    sit at highly degenerate vertices where floating point
-    mis-classifies tight constraints) and a floating-point mirror used
-    for performance comparison. *)
+    The functor form gives both an exact solver (over {!Field.Rational}:
+    the reference oracle for [Lp.Revised]) and a floating-point mirror
+    used for the numeric ablation. *)
 
 module Make (F : Linalg.Field.S) = struct
   module Budget = Resilience.Budget
@@ -132,7 +130,7 @@ module Make (F : Linalg.Field.S) = struct
      artificials in phase 2). *)
   let stall_threshold = 600
 
-  type pricing = Dantzig_lex | Bland
+  type pricing = Lp.pricing = Dantzig_lex | Bland
 
   let optimize ?(pricing = Dantzig_lex) ~guard ~site tab ~allowed =
     let a = tab.t in

@@ -2,11 +2,13 @@
 
     Solves the standard-form problem {v min c.x  s.t.  A x = b, x >= 0 v}.
 
-    The functor gives both the exact solver (over {!Linalg.Field.Rational},
-    the default throughout the reproduction — optimal privacy mechanisms
-    sit at highly degenerate vertices where floating point mis-classifies
-    tight constraints) and a floating-point mirror used for performance
-    comparison.
+    The functor gives both the exact solver (over {!Linalg.Field.Rational}:
+    optimal privacy mechanisms sit at highly degenerate vertices where
+    floating point mis-classifies tight constraints) and a
+    floating-point mirror used for the numeric ablation. The exact
+    instance is the reference the production revised simplex
+    ([Lp.Revised]) replicates decision for decision; tests and benches
+    compare the two.
 
     Implementation choices (see the ABL1 bench for their measured
     impact): Dantzig pricing with a lexicographic ratio test and a
@@ -26,9 +28,7 @@ module Make (F : Linalg.Field.S) : sig
             ambient {!Fault.plan} — exhausted mid-phase, with the
             stage, pivots spent and peak coefficient bits. *)
 
-  type pricing =
-    | Dantzig_lex  (** most-negative reduced cost + lexicographic ratio test (default) *)
-    | Bland  (** smallest-index anti-cycling rule; slow but unconditionally terminating *)
+  type pricing = Lp.pricing = Dantzig_lex | Bland
 
   val solve_standard :
     ?pricing:pricing ->

@@ -169,10 +169,16 @@ let test_pool_shutdown () =
 let test_compile_certifies () =
   let r = req ~n:4 () in
   let c = Co.compile ~alpha:(q 1 2) ~key:(key r) (Rq.consumer r) in
-  Alcotest.(check bool) "certificates non-empty" true (c.Co.certificates <> []);
+  Alcotest.(check bool) "certificates non-empty" true (c.Co.served.Minimax.Serve.certificates <> []);
   Alcotest.(check string) "key recorded" (key r) c.Co.key;
-  Alcotest.(check bool) "unbudgeted compile is tailored" true
-    (Co.rung c = Minimax.Serve.Tailored)
+  Alcotest.(check bool) "unbudgeted compile is geometric+remap" true
+    (Co.rung c = Minimax.Serve.Geometric_remap);
+  Alcotest.(check (list string)) "certificates cover the ladder's checks"
+    c.Co.served.Minimax.Serve.provenance.Minimax.Serve.checks
+    (List.map (fun k -> k.Check.Invariants.cert_rule) c.Co.served.Minimax.Serve.certificates);
+  let tailored = Minimax.Optimal_mechanism.solve ~alpha:(q 1 2) (Rq.consumer r) in
+  Alcotest.(check bool) "compiled loss = tailored optimum (Theorem 1)" true
+    (Rat.equal (Co.loss c) tailored.Minimax.Optimal_mechanism.loss)
 
 let test_single_draw_takes_exact_path () =
   (* dpopt geometric --samples 1 must see exactly the pre-engine
@@ -250,22 +256,24 @@ let test_cached_artifacts_are_certified () =
           match En.artifact e r.En.request with
           | None -> Alcotest.fail "request has no cached artifact"
           | Some a ->
-            Alcotest.(check bool) "artifact carries certificates" true (a.Co.certificates <> []))
+            Alcotest.(check bool) "artifact carries certificates" true (a.Co.served.Minimax.Serve.certificates <> []))
         rs)
 
 let test_budget_degrades_but_serves () =
-  (* A 3-pivot budget cannot finish any LP: the ladder must leave the
-     tailored rung yet every request is still answered, certified. *)
+  (* A 3-pivot budget cannot finish the interaction LP: the ladder
+     must bottom out on raw G(n,α), yet the request is still answered,
+     certified. *)
   let budget () = Lp.Budget.make ~max_pivots:3 () in
   En.with_engine ~domains:1 ~budget (fun e ->
       let r = req ~n:5 ~input:1 ~count:64 () in
       let rs = En.run_batch ~seed:5 e [| r |] in
-      Alcotest.(check bool) "rung degraded" true (rs.(0).En.rung <> Minimax.Serve.Tailored);
+      Alcotest.(check bool) "rung degraded to raw" true
+        (rs.(0).En.rung = Minimax.Serve.Geometric_raw);
       Alcotest.(check int) "still served" 64 (Array.length rs.(0).En.samples);
       match En.artifact e r with
       | None -> Alcotest.fail "degraded artifact not cached"
       | Some a ->
-        Alcotest.(check bool) "degraded release still certified" true (a.Co.certificates <> []))
+        Alcotest.(check bool) "degraded release still certified" true (a.Co.served.Minimax.Serve.certificates <> []))
 
 let test_cache_fault_bypasses () =
   let clean, _ = batch ~domains:1 () in
@@ -305,43 +313,46 @@ let test_engine_shutdown () =
 (* Canonical-key properties                                          *)
 (* --------------------------------------------------------------- *)
 
-(* A random well-formed request: every loss family, every side-info
-   shape, alpha strictly inside (0,1). *)
+(* A random well-formed request over the [n] and [alpha] generators
+   given: every loss family, every side-info shape. *)
+let gen_request ~n ~alpha =
+  QCheck.Gen.(
+    n >>= fun n ->
+    alpha >>= fun alpha ->
+    oneof
+      [
+        return Rq.Absolute;
+        return Rq.Squared;
+        return Rq.Zero_one;
+        map (fun w -> Rq.Deadzone w) (int_range 0 3);
+        map (fun c -> Rq.Capped c) (int_range 1 7);
+        map2 (fun o u -> Rq.Asymmetric (q o 2, q u 3)) (int_range 1 4) (int_range 1 4);
+      ]
+    >>= fun loss ->
+    oneof
+      [
+        return Rq.Full;
+        map (fun k -> Rq.At_least k) (int_range 0 n);
+        map (fun k -> Rq.At_most k) (int_range 0 n);
+        map2
+          (fun lo d -> Rq.Interval (lo, min n (lo + d)))
+          (int_range 0 n) (int_range 0 n);
+        map (fun ms -> Rq.Members ms) (list_size (int_range 1 (n + 1)) (int_range 0 n));
+      ]
+    >>= fun side ->
+    int_range 0 n >>= fun input ->
+    int_range 1 4 >>= fun count ->
+    match Rq.make ~input ~count ~n ~alpha ~loss ~side () with
+    | Ok r -> return r
+    | Error m -> failwith ("generator built an invalid request: " ^ m))
+
+(* Any alpha strictly inside (0,1). *)
 let arb_request =
-  let gen =
-    QCheck.Gen.(
-      int_range 2 6 >>= fun n ->
-      int_range 1 9 >>= fun num ->
-      int_range 1 5 >>= fun dd ->
-      let alpha = q num (num + dd) in
-      oneof
-        [
-          return Rq.Absolute;
-          return Rq.Squared;
-          return Rq.Zero_one;
-          map (fun w -> Rq.Deadzone w) (int_range 0 3);
-          map (fun c -> Rq.Capped c) (int_range 1 7);
-          map2 (fun o u -> Rq.Asymmetric (q o 2, q u 3)) (int_range 1 4) (int_range 1 4);
-        ]
-      >>= fun loss ->
-      oneof
-        [
-          return Rq.Full;
-          map (fun k -> Rq.At_least k) (int_range 0 n);
-          map (fun k -> Rq.At_most k) (int_range 0 n);
-          map2
-            (fun lo d -> Rq.Interval (lo, min n (lo + d)))
-            (int_range 0 n) (int_range 0 n);
-          map (fun ms -> Rq.Members ms) (list_size (int_range 1 (n + 1)) (int_range 0 n));
-        ]
-      >>= fun side ->
-      int_range 0 n >>= fun input ->
-      int_range 1 4 >>= fun count ->
-      match Rq.make ~input ~count ~n ~alpha ~loss ~side () with
-      | Ok r -> return r
-      | Error m -> failwith ("generator built an invalid request: " ^ m))
-  in
-  QCheck.make ~print:(fun r -> Rq.to_line r) gen
+  QCheck.make ~print:(fun r -> Rq.to_line r)
+    (gen_request ~n:(QCheck.Gen.int_range 2 6)
+       ~alpha:
+         QCheck.Gen.(
+           map2 (fun num dd -> q num (num + dd)) (int_range 1 9) (int_range 1 5)))
 
 (* Rebuild a request from the canonical key's own rendering — the
    key grammar is parseable by the same wire-facing spec parsers. *)
@@ -387,6 +398,32 @@ let key_properties =
         | Ok (Rq.Stats _ | Rq.Session _) | Error _ -> false);
   ]
 
+(* Theorem 1 over the request grammar: serving never builds the
+   tailored rung, still releases the tailored optimum, and the
+   certificates a compile carries are exactly the ones a store load
+   would replay on the same release. n <= 10, weighted small: the
+   tailored LP this checks against costs seconds at n = 10. *)
+let arb_served_request =
+  QCheck.make ~print:(fun r -> Rq.to_line r)
+    (gen_request
+       ~n:QCheck.Gen.(frequency [ (5, int_range 1 7); (1, int_range 8 10) ])
+       ~alpha:(QCheck.Gen.oneofl [ q 1 3; q 1 2; q 2 3 ]))
+
+let serve_properties =
+  [
+    prop "tailored optimum, never its rung" 24
+      arb_served_request (fun r ->
+        let alpha = r.Rq.alpha and consumer = Rq.consumer r in
+        let c = Co.compile ~alpha ~key:(key r) consumer in
+        let tailored = Minimax.Optimal_mechanism.solve ~alpha consumer in
+        let replayed = Co.of_served ~key:(key r) ~alpha c.Co.served in
+        Co.rung c <> Minimax.Serve.Tailored
+        && Rat.equal (Co.loss c) tailored.Minimax.Optimal_mechanism.loss
+        && c.Co.served.Minimax.Serve.certificates <> []
+        && c.Co.served.Minimax.Serve.certificates
+           = replayed.Co.served.Minimax.Serve.certificates);
+  ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -397,6 +434,7 @@ let () =
           Alcotest.test_case "line defaults and errors" `Quick test_line_defaults_and_errors;
         ] );
       ("properties", key_properties);
+      ("serve", serve_properties);
       ( "cache",
         [
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;

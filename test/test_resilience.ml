@@ -136,49 +136,102 @@ let alpha_dp_certified (s : S.served) =
   Check.Invariants.passed
     (Check.Invariants.alpha_dp ~alpha:s.S.provenance.S.alpha (Mech.Mechanism.matrix s.S.mechanism))
 
+let absolute = consumer Minimax.Loss.absolute
+
+(* Theorem 1's oracle: the tailored §2.5 optimum every remap release
+   must match. *)
+let tailored_loss ?(alpha = q 1 2) c =
+  (Minimax.Optimal_mechanism.solve ~alpha c).Minimax.Optimal_mechanism.loss
+
+(* A raw release is G(n,α) itself: its loss is G's own minimax loss,
+   never below the tailored optimum. *)
+let check_raw_loss (s : S.served) c =
+  let g = Mech.Geometric.matrix ~n:(Minimax.Consumer.n c) ~alpha:s.S.provenance.S.alpha in
+  Alcotest.(check bool) "raw loss is G(n,α)'s" true
+    (Rat.equal s.S.loss (Minimax.Consumer.minimax_loss c g));
+  Alcotest.(check bool) "raw loss >= tailored optimum" true
+    (Rat.compare s.S.loss (tailored_loss ~alpha:s.S.provenance.S.alpha c) >= 0)
+
+let expect_rung want (s : S.served) =
+  if s.S.provenance.S.rung <> want then
+    Alcotest.failf "expected %s, got %s" (S.rung_to_string want)
+      (S.rung_to_string s.S.provenance.S.rung)
+
 let test_ladder_tailored () =
-  let s = S.serve ~alpha:(q 1 2) (consumer Minimax.Loss.absolute) in
-  (match s.S.provenance.S.rung with
-   | S.Tailored -> ()
-   | r -> Alcotest.fail ("expected tailored, got " ^ S.rung_to_string r));
+  (* Unbudgeted: the top rung, G(n,α) + optimal interaction, serves the
+     tailored optimum itself (Theorem 1) without solving the tailored
+     LP. *)
+  let s = S.serve ~alpha:(q 1 2) absolute in
+  expect_rung S.Geometric_remap s;
   Alcotest.(check int) "no degradations" 0 (List.length s.S.provenance.S.attempts);
-  Alcotest.(check bool) "alpha-dp certified" true (alpha_dp_certified s)
+  Alcotest.(check bool) "alpha-dp certified" true (alpha_dp_certified s);
+  Alcotest.(check bool) "served loss = tailored optimum (Theorem 1)" true
+    (Rat.equal s.S.loss (tailored_loss absolute))
 
 let test_ladder_remap () =
-  (* Exhaust only the FIRST phase-2 visit: rung 1 dies, rung 2's own LP
-     runs clean and the ladder stops at geometric+remap. *)
-  let plan = F.plan [ { F.site = "simplex.phase2"; hits = 1; action = F.Exhaust E.Pivots } ] in
-  let s = F.with_plan plan @@ fun () -> S.serve ~alpha:(q 1 2) (consumer Minimax.Loss.absolute) in
-  (match s.S.provenance.S.rung with
-   | S.Geometric_remap -> ()
-   | r -> Alcotest.fail ("expected geometric+remap, got " ^ S.rung_to_string r));
-  (match s.S.provenance.S.attempts with
-   | [ { S.attempted = S.Tailored; reason = S.Solver (E.Exhausted _) } ] -> ()
-   | _ -> Alcotest.fail "attempts must record the tailored exhaustion");
-  Alcotest.(check bool) "alpha-dp certified" true (alpha_dp_certified s);
-  (* Theorem 1: the remapped geometric matches the tailored optimum. *)
-  let tailored = Minimax.Optimal_mechanism.solve ~alpha:(q 1 2) (consumer Minimax.Loss.absolute) in
+  (* A pivot budget the interaction LP fits in: still the remap rung,
+     with no degradation and nothing charged. *)
+  let s = S.serve ~budget:(B.make ~max_pivots:30 ()) ~alpha:(q 1 2) absolute in
+  expect_rung S.Geometric_remap s;
+  Alcotest.(check int) "no degradations" 0 (List.length s.S.provenance.S.attempts);
+  Alcotest.(check (list string)) "certified rules, derivability included"
+    [ "row-stochastic"; "alpha-dp"; "derivable" ]
+    s.S.provenance.S.checks;
+  Alcotest.(check (list string)) "certificates match the checks" s.S.provenance.S.checks
+    (List.map (fun c -> c.Check.Invariants.cert_rule) s.S.certificates);
   Alcotest.(check bool) "remap loses nothing (Theorem 1)" true
-    (Rat.equal s.S.loss tailored.Minimax.Optimal_mechanism.loss)
+    (Rat.equal s.S.loss (tailored_loss absolute))
+
+(* The three ways the remap rung can fail, each descending to raw
+   G(n,α): budget exhaustion, an injected solver fault, and a failed
+   certificate. *)
+let remap_to_raw_edges =
+  [
+    ( "budget",
+      (fun () -> S.serve ~budget:(B.make ~max_pivots:3 ()) ~alpha:(q 1 2) absolute),
+      [ "geometric+remap:exhausted"; "kind=pivots"; "pivots=3" ] );
+    ( "fault",
+      (fun () ->
+        let plan =
+          F.plan
+            [
+              { F.site = "simplex.phase1"; hits = 0; action = F.Exhaust E.Pivots };
+              { F.site = "simplex.phase2"; hits = 0; action = F.Exhaust E.Pivots };
+            ]
+        in
+        F.with_plan plan @@ fun () -> S.serve ~alpha:(q 1 2) absolute),
+      [ "geometric+remap:exhausted"; "kind=pivots" ] );
+    ( "certificate",
+      (fun () ->
+        let plan = F.plan [ { F.site = "serve.certify"; hits = 1; action = F.Trip } ] in
+        F.with_plan plan @@ fun () -> S.serve ~alpha:(q 1 2) absolute),
+      [ "geometric+remap:uncertified:injected" ] );
+  ]
 
 let test_ladder_raw () =
-  (* Exhaust EVERY visit to both simplex sites: rungs 1 and 2 both die
-     and the ladder bottoms out at raw G(n,α) — still certified. *)
-  let plan =
-    F.plan
-      [
-        { F.site = "simplex.phase1"; hits = 0; action = F.Exhaust E.Pivots };
-        { F.site = "simplex.phase2"; hits = 0; action = F.Exhaust E.Pivots };
-      ]
-  in
-  let s = F.with_plan plan @@ fun () -> S.serve ~alpha:(q 1 2) (consumer Minimax.Loss.absolute) in
-  (match s.S.provenance.S.rung with
-   | S.Geometric_raw -> ()
-   | r -> Alcotest.fail ("expected raw geometric, got " ^ S.rung_to_string r));
-  (match List.map (fun a -> a.S.attempted) s.S.provenance.S.attempts with
-   | [ S.Tailored; S.Geometric_remap ] -> ()
-   | _ -> Alcotest.fail "attempts must record both failed rungs in order");
-  Alcotest.(check bool) "alpha-dp certified" true (alpha_dp_certified s)
+  List.iter
+    (fun (edge, run, _) ->
+      let s = run () in
+      expect_rung S.Geometric_raw s;
+      (match s.S.provenance.S.attempts with
+       | [ { S.attempted = S.Geometric_remap; _ } ] -> ()
+       | _ -> Alcotest.failf "%s: attempts must record exactly the failed remap" edge);
+      Alcotest.(check bool) (edge ^ ": alpha-dp certified") true (alpha_dp_certified s);
+      check_raw_loss s absolute)
+    remap_to_raw_edges;
+  (* The certificate edge's reason is typed, not a solver error. *)
+  let _, run, _ = List.nth remap_to_raw_edges 2 in
+  match (run ()).S.provenance.S.attempts with
+  | [ { S.reason = S.Uncertified "injected"; _ } ] -> ()
+  | _ -> Alcotest.fail "a failed certificate must be recorded as Uncertified"
+
+let test_ladder_bottom_uncertified () =
+  (* Should even raw G(n,α) fail its audit, nothing uncertified is
+     released: the typed exception names the rung and rule. *)
+  let plan = F.plan [ { F.site = "serve.certify"; hits = 0; action = F.Trip } ] in
+  match F.with_plan plan (fun () -> S.serve ~alpha:(q 1 2) absolute) with
+  | exception S.Certification_failed { rung = "geometric"; rule = "injected" } -> ()
+  | _ -> Alcotest.fail "an uncertifiable bottom rung must raise Certification_failed"
 
 let test_ladder_all_rungs_alpha_dp () =
   (* Property: whatever the failure pattern and consumer, the released
@@ -211,37 +264,29 @@ let test_ladder_all_rungs_alpha_dp () =
     losses
 
 let test_provenance_deterministic () =
-  (* Same plan, same consumer: byte-identical provenance, twice. *)
-  let mk_plan () =
-    F.plan
-      [
-        { F.site = "simplex.phase1"; hits = 0; action = F.Exhaust E.Pivots };
-        { F.site = "simplex.phase2"; hits = 0; action = F.Exhaust E.Pivots };
-      ]
-  in
-  let run () =
-    F.with_plan (mk_plan ()) @@ fun () ->
-    S.provenance_to_string (S.serve ~alpha:(q 1 2) (consumer Minimax.Loss.absolute)).S.provenance
-  in
-  let a = run () and b = run () in
-  Alcotest.(check string) "byte-identical provenance" a b;
-  (* And it names the rung + both attempts, per the acceptance bar. *)
+  (* Same plan or budget, same consumer: byte-identical provenance,
+     twice, on every descent edge — naming the rung and the attempt. *)
   List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("mentions " ^ needle) true
-        (Str.string_match (Str.regexp (".*" ^ Str.quote needle)) a 0))
-    [ "rung=geometric"; "tailored:exhausted"; "geometric+remap:exhausted"; "kind=pivots" ]
+    (fun (edge, run, needles) ->
+      let render () = S.provenance_to_string (run ()).S.provenance in
+      let a = render () and b = render () in
+      Alcotest.(check string) (edge ^ ": byte-identical provenance") a b;
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (edge ^ ": mentions " ^ needle) true
+            (Str.string_match (Str.regexp (".*" ^ Str.quote needle)) a 0))
+        ("rung=geometric " :: needles))
+    remap_to_raw_edges
 
 let test_deadline_shared_across_rungs () =
-  (* One already-expired deadline starves every LP rung; the ladder
-     still releases raw G(n,α) and charges both failures to it. *)
+  (* An already-expired deadline starves the interaction LP; the
+     ladder still releases raw G(n,α) and charges the failure to it. *)
   let clock = ticking_clock () in
   let budget = B.make ~clock ~deadline_ms:0 () in
-  let s = S.serve ~budget ~alpha:(q 1 2) (consumer Minimax.Loss.absolute) in
-  (match s.S.provenance.S.rung with
-   | S.Geometric_raw -> ()
-   | r -> Alcotest.fail ("expected raw geometric, got " ^ S.rung_to_string r));
-  Alcotest.(check bool) "alpha-dp certified" true (alpha_dp_certified s)
+  let s = S.serve ~budget ~alpha:(q 1 2) absolute in
+  expect_rung S.Geometric_raw s;
+  Alcotest.(check bool) "alpha-dp certified" true (alpha_dp_certified s);
+  check_raw_loss s absolute
 
 (* ------------------------------------------------------------------ *)
 
@@ -266,6 +311,7 @@ let () =
           Alcotest.test_case "tailored" `Quick test_ladder_tailored;
           Alcotest.test_case "remap" `Quick test_ladder_remap;
           Alcotest.test_case "raw geometric" `Quick test_ladder_raw;
+          Alcotest.test_case "uncertified bottom rung raises" `Quick test_ladder_bottom_uncertified;
           Alcotest.test_case "all rungs alpha-dp" `Quick test_ladder_all_rungs_alpha_dp;
           Alcotest.test_case "provenance deterministic" `Quick test_provenance_deterministic;
           Alcotest.test_case "deadline shared across rungs" `Quick test_deadline_shared_across_rungs;

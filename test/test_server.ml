@@ -36,12 +36,26 @@ let connect port =
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   fd
 
-let send fd lines =
-  let w = F.writer fd in
-  List.iter (F.enqueue w) lines;
+let flush_or_fail w =
   match F.flush_blocking w with
   | F.Flushed -> ()
   | F.Blocked | F.Closed -> Alcotest.fail "client write failed"
+
+(* A pipelined burst goes out in one write, so the server reads it in
+   one poll: PROTOCOL.md's "errors first, then served lines" and the
+   overload test's burst against queue=1 both hold only for lines read
+   together, since a fast compile can answer an early query before a
+   later line is even read. Every case sends this way except
+   [test_split_writes_pair_by_id], the one that covers split writes. *)
+let send fd lines =
+  let w = F.writer fd in
+  if lines <> [] then F.enqueue w (String.concat "\n" lines);
+  flush_or_fail w
+
+(* One write per line: the server may read them across several polls. *)
+let send_split fd lines =
+  let w = F.writer fd in
+  List.iter (fun l -> F.enqueue w l; flush_or_fail w) lines
 
 let half_close fd = Unix.shutdown fd Unix.SHUTDOWN_SEND
 
@@ -266,6 +280,7 @@ let test_bytes_identical_with_telemetry () =
    counter, so the whole response line — the JSON snapshot and the
    Prometheus text exposition riding in it — is golden. *)
 let test_golden_stats () =
+  let served_lines = ref [] in
   let fake = Obs.Clock.Fake.create () in
   let r = Obs.create ~clock:(Obs.Clock.Fake.clock fake) () in
   let got =
@@ -279,14 +294,29 @@ let test_golden_stats () =
                 ]
             in
             Alcotest.(check int) "both queries served" 2 (List.length served);
+            served_lines := served;
             round_trip port [ "v=1 op=stats id=s1" ]))
   in
   let expect =
     [
-      {|{"v":1,"status":"stats","id":"s1","stats":{"queue":{"depth":0,"capacity":64},"conns":{"accepted":2,"aborted":0},"requests":{"admitted":2,"responses":2,"degraded":0,"errors":0,"stats":1},"rejected":{"protocol":0,"overloaded":0,"deadline":0},"engine":{"requests":2,"samples":5},"lp":{"solves":1,"pivots":37,"warm_hits":0,"warm_misses":0,"refactorizations":2},"cache":{"hits":1,"misses":1,"evictions":0,"insertions":1,"bypassed":0},"store":{"hits":0,"misses":0,"corrupt":0,"writes":0,"probe_latency_us":null},"session":{"groups":0,"subscribers":0,"subscribes":0,"unsubscribes":0,"detached":0,"epochs":0,"served":0,"refused_budget":0,"checkpoints":0,"checkpoint_failed":0,"epoch_latency_us":null},"latency_us":{"window_ns":10000000000,"count":2,"p50_us":0,"p99_us":0,"p999_us":0,"max_us":0,"sum_us":0}},"prometheus":"# TYPE dpserved_queue_depth gauge\ndpserved_queue_depth 0\n# TYPE dpserved_queue_capacity gauge\ndpserved_queue_capacity 64\n# TYPE dpserved_connections_total counter\ndpserved_connections_total{event=\"accepted\"} 2\ndpserved_connections_total{event=\"aborted\"} 0\n# TYPE dpserved_requests_total counter\ndpserved_requests_total{outcome=\"admitted\"} 2\ndpserved_requests_total{outcome=\"responses\"} 2\ndpserved_requests_total{outcome=\"degraded\"} 0\ndpserved_requests_total{outcome=\"errors\"} 0\ndpserved_requests_total{outcome=\"stats\"} 1\n# TYPE dpserved_rejected_total counter\ndpserved_rejected_total{reason=\"protocol\"} 0\ndpserved_rejected_total{reason=\"overloaded\"} 0\ndpserved_rejected_total{reason=\"deadline\"} 0\n# TYPE dpserved_engine_requests_total counter\ndpserved_engine_requests_total 2\n# TYPE dpserved_engine_samples_total counter\ndpserved_engine_samples_total 5\n# TYPE dpserved_lp_events_total counter\ndpserved_lp_events_total{event=\"solves\"} 1\ndpserved_lp_events_total{event=\"pivots\"} 37\ndpserved_lp_events_total{event=\"warm_hits\"} 0\ndpserved_lp_events_total{event=\"warm_misses\"} 0\ndpserved_lp_events_total{event=\"refactorizations\"} 2\n# TYPE dpserved_cache_events_total counter\ndpserved_cache_events_total{event=\"hits\"} 1\ndpserved_cache_events_total{event=\"misses\"} 1\ndpserved_cache_events_total{event=\"evictions\"} 0\ndpserved_cache_events_total{event=\"insertions\"} 1\ndpserved_cache_events_total{event=\"bypassed\"} 0\n# TYPE dpserved_store_events_total counter\ndpserved_store_events_total{event=\"hits\"} 0\ndpserved_store_events_total{event=\"misses\"} 0\ndpserved_store_events_total{event=\"corrupt\"} 0\ndpserved_store_events_total{event=\"writes\"} 0\n# TYPE dpserved_session_groups gauge\ndpserved_session_groups 0\n# TYPE dpserved_session_subscribers gauge\ndpserved_session_subscribers 0\n# TYPE dpserved_session_events_total counter\ndpserved_session_events_total{event=\"subscribes\"} 0\ndpserved_session_events_total{event=\"unsubscribes\"} 0\ndpserved_session_events_total{event=\"detached\"} 0\ndpserved_session_events_total{event=\"epochs\"} 0\ndpserved_session_events_total{event=\"served\"} 0\ndpserved_session_events_total{event=\"refused_budget\"} 0\ndpserved_session_events_total{event=\"checkpoints\"} 0\ndpserved_session_events_total{event=\"checkpoint_failed\"} 0\n# TYPE dpserved_store_probe_microseconds summary\ndpserved_store_probe_microseconds{quantile=\"0.5\"} 0\ndpserved_store_probe_microseconds{quantile=\"0.99\"} 0\ndpserved_store_probe_microseconds{quantile=\"0.999\"} 0\ndpserved_store_probe_microseconds_sum 0\ndpserved_store_probe_microseconds_count 0\n# TYPE dpserved_session_epoch_microseconds summary\ndpserved_session_epoch_microseconds{quantile=\"0.5\"} 0\ndpserved_session_epoch_microseconds{quantile=\"0.99\"} 0\ndpserved_session_epoch_microseconds{quantile=\"0.999\"} 0\ndpserved_session_epoch_microseconds_sum 0\ndpserved_session_epoch_microseconds_count 0\n# TYPE dpserved_latency_microseconds summary\ndpserved_latency_microseconds{quantile=\"0.5\"} 0\ndpserved_latency_microseconds{quantile=\"0.99\"} 0\ndpserved_latency_microseconds{quantile=\"0.999\"} 0\ndpserved_latency_microseconds_sum 0\ndpserved_latency_microseconds_count 2\n"}|};
+      {|{"v":1,"status":"stats","id":"s1","stats":{"queue":{"depth":0,"capacity":64},"conns":{"accepted":2,"aborted":0},"requests":{"admitted":2,"responses":2,"degraded":0,"errors":0,"stats":1},"rejected":{"protocol":0,"overloaded":0,"deadline":0},"engine":{"requests":2,"samples":5},"lp":{"solves":1,"pivots":19,"warm_hits":0,"warm_misses":0,"refactorizations":1},"cache":{"hits":1,"misses":1,"evictions":0,"insertions":1,"bypassed":0},"store":{"hits":0,"misses":0,"corrupt":0,"writes":0,"probe_latency_us":null},"session":{"groups":0,"subscribers":0,"subscribes":0,"unsubscribes":0,"detached":0,"epochs":0,"served":0,"refused_budget":0,"checkpoints":0,"checkpoint_failed":0,"epoch_latency_us":null},"latency_us":{"window_ns":10000000000,"count":2,"p50_us":0,"p99_us":0,"p999_us":0,"max_us":0,"sum_us":0}},"prometheus":"# TYPE dpserved_queue_depth gauge\ndpserved_queue_depth 0\n# TYPE dpserved_queue_capacity gauge\ndpserved_queue_capacity 64\n# TYPE dpserved_connections_total counter\ndpserved_connections_total{event=\"accepted\"} 2\ndpserved_connections_total{event=\"aborted\"} 0\n# TYPE dpserved_requests_total counter\ndpserved_requests_total{outcome=\"admitted\"} 2\ndpserved_requests_total{outcome=\"responses\"} 2\ndpserved_requests_total{outcome=\"degraded\"} 0\ndpserved_requests_total{outcome=\"errors\"} 0\ndpserved_requests_total{outcome=\"stats\"} 1\n# TYPE dpserved_rejected_total counter\ndpserved_rejected_total{reason=\"protocol\"} 0\ndpserved_rejected_total{reason=\"overloaded\"} 0\ndpserved_rejected_total{reason=\"deadline\"} 0\n# TYPE dpserved_engine_requests_total counter\ndpserved_engine_requests_total 2\n# TYPE dpserved_engine_samples_total counter\ndpserved_engine_samples_total 5\n# TYPE dpserved_lp_events_total counter\ndpserved_lp_events_total{event=\"solves\"} 1\ndpserved_lp_events_total{event=\"pivots\"} 19\ndpserved_lp_events_total{event=\"warm_hits\"} 0\ndpserved_lp_events_total{event=\"warm_misses\"} 0\ndpserved_lp_events_total{event=\"refactorizations\"} 1\n# TYPE dpserved_cache_events_total counter\ndpserved_cache_events_total{event=\"hits\"} 1\ndpserved_cache_events_total{event=\"misses\"} 1\ndpserved_cache_events_total{event=\"evictions\"} 0\ndpserved_cache_events_total{event=\"insertions\"} 1\ndpserved_cache_events_total{event=\"bypassed\"} 0\n# TYPE dpserved_store_events_total counter\ndpserved_store_events_total{event=\"hits\"} 0\ndpserved_store_events_total{event=\"misses\"} 0\ndpserved_store_events_total{event=\"corrupt\"} 0\ndpserved_store_events_total{event=\"writes\"} 0\n# TYPE dpserved_session_groups gauge\ndpserved_session_groups 0\n# TYPE dpserved_session_subscribers gauge\ndpserved_session_subscribers 0\n# TYPE dpserved_session_events_total counter\ndpserved_session_events_total{event=\"subscribes\"} 0\ndpserved_session_events_total{event=\"unsubscribes\"} 0\ndpserved_session_events_total{event=\"detached\"} 0\ndpserved_session_events_total{event=\"epochs\"} 0\ndpserved_session_events_total{event=\"served\"} 0\ndpserved_session_events_total{event=\"refused_budget\"} 0\ndpserved_session_events_total{event=\"checkpoints\"} 0\ndpserved_session_events_total{event=\"checkpoint_failed\"} 0\n# TYPE dpserved_store_probe_microseconds summary\ndpserved_store_probe_microseconds{quantile=\"0.5\"} 0\ndpserved_store_probe_microseconds{quantile=\"0.99\"} 0\ndpserved_store_probe_microseconds{quantile=\"0.999\"} 0\ndpserved_store_probe_microseconds_sum 0\ndpserved_store_probe_microseconds_count 0\n# TYPE dpserved_session_epoch_microseconds summary\ndpserved_session_epoch_microseconds{quantile=\"0.5\"} 0\ndpserved_session_epoch_microseconds{quantile=\"0.99\"} 0\ndpserved_session_epoch_microseconds{quantile=\"0.999\"} 0\ndpserved_session_epoch_microseconds_sum 0\ndpserved_session_epoch_microseconds_count 0\n# TYPE dpserved_latency_microseconds summary\ndpserved_latency_microseconds{quantile=\"0.5\"} 0\ndpserved_latency_microseconds{quantile=\"0.99\"} 0\ndpserved_latency_microseconds{quantile=\"0.999\"} 0\ndpserved_latency_microseconds_sum 0\ndpserved_latency_microseconds_count 2\n"}|};
     ]
   in
-  Alcotest.(check (list string)) "golden stats transcript" expect got
+  Alcotest.(check (list string)) "golden stats transcript" expect got;
+  (* The one LP solved is the interaction LP on G(4,1/2); its release
+     is the tailored optimum (Theorem 1). *)
+  let tailored =
+    Minimax.Optimal_mechanism.solve ~alpha:(Rat.of_ints 1 2)
+      (Minimax.Consumer.make ~loss:Minimax.Loss.absolute ~side_info:(Minimax.Side_info.full 4) ())
+  in
+  List.iter
+    (fun line ->
+      Alcotest.(check (option string)) "served loss = tailored optimum"
+        (Some (Rat.to_string tailored.Minimax.Optimal_mechanism.loss))
+        (match J.of_string line with
+         | Ok j -> Option.bind (J.member "loss" j) J.to_str_opt
+         | Error _ -> None))
+    !served_lines
 
 (* op=stats takes only id=; anything else is refused with a typed
    invalid, and unknown ops name the verb the server does know. *)
@@ -315,6 +345,26 @@ let test_error_ordering () =
   with_server (config ~domains:1 ()) (fun _ port ->
       let got = round_trip port [ ok0; "v=1 bogus"; ok1 ] in
       Alcotest.(check (list string)) "errors first, then served responses in order" expect got)
+
+(* Written line by line, a burst may come back in any interleaving of
+   errors and served lines, but paired by id= the bytes are the
+   reference's. *)
+let test_split_writes_pair_by_id () =
+  let lines =
+    [
+      "v=1 id=w0 seed=311 n=4 alpha=1/2 count=2";
+      "v=1 id=w1 seed=312 n=5 alpha=1/3 count=2";
+      "v=1 id=w2 seed=313 n=4 alpha=2/5 count=2";
+    ]
+  in
+  let expect = List.sort compare (reference_lines lines) in
+  with_server (config ~domains:1 ()) (fun _ port ->
+      let fd = connect port in
+      send_split fd lines;
+      half_close fd;
+      let got = recv_until_eof (F.reader fd) in
+      Unix.close fd;
+      Alcotest.(check (list string)) "split writes, paired by id" expect (List.sort compare got))
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
@@ -715,6 +765,7 @@ let () =
           Alcotest.test_case "rejections match Response surface" `Quick
             test_rejections_match_response_surface;
           Alcotest.test_case "error ordering" `Quick test_error_ordering;
+          Alcotest.test_case "split writes pair by id" `Quick test_split_writes_pair_by_id;
         ] );
       ( "determinism",
         [

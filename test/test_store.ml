@@ -74,7 +74,7 @@ let check_artifact_equal name (a : Co.t) (b : Co.t) =
   Alcotest.(check bool)
     (name ^ ": certificates")
     true
-    (a.Co.certificates = b.Co.certificates)
+    (a.Co.served.Minimax.Serve.certificates = b.Co.served.Minimax.Serve.certificates)
 
 let round_trip_cases =
   [
@@ -310,6 +310,67 @@ let test_load_all () =
       | l -> Alcotest.failf "expected one refusal, got %d" (List.length l))
 
 (* --------------------------------------------------------------- *)
+(* Legacy rung=tailored entries                                     *)
+(* --------------------------------------------------------------- *)
+
+(* Earlier builds served the tailored §2.5 LP vertex and persisted it
+   with rung=tailored. No fresh compile builds that rung any more, so
+   this is the only test reaching its decode path: such an entry must
+   still load, re-certified on row-stochasticity and α-DP alone — its
+   vertex need not factor through G(n,α), so derivability is not
+   demanded. *)
+let test_legacy_tailored_entry () =
+  let derivable (r : Rq.t) m =
+    Check.Invariants.passed (Check.Invariants.derivability ~alpha:r.Rq.alpha (M.matrix m))
+  in
+  (* The first tailored vertex that is not derivable from G. *)
+  let r, tailored =
+    match
+      List.find_map
+        (fun (_, (r : Rq.t)) ->
+          let t = Minimax.Optimal_mechanism.solve ~alpha:r.Rq.alpha (Rq.consumer r) in
+          if derivable r t.Minimax.Optimal_mechanism.mechanism then None else Some (r, t))
+        round_trip_cases
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "fixture: every tailored vertex is derivable"
+  in
+  let alpha = r.Rq.alpha in
+  let key = Rq.canonical_key r in
+  let mechanism = tailored.Minimax.Optimal_mechanism.mechanism in
+  let rules = [ "row-stochastic"; "alpha-dp" ] in
+  let legacy =
+    {
+      S.mechanism;
+      loss = tailored.Minimax.Optimal_mechanism.loss;
+      provenance =
+        {
+          S.rung = S.Tailored;
+          alpha;
+          n = r.Rq.n;
+          attempts = [];
+          pivots_spent = 0;
+          peak_bits = 0;
+          checks = rules;
+        };
+      certificates = [];
+    }
+  in
+  let c = Co.of_served ~key ~alpha legacy in
+  Alcotest.(check (list string)) "of_served: no derivability on tailored" rules
+    (List.map (fun k -> k.Check.Invariants.cert_rule) c.Co.served.S.certificates);
+  Alcotest.(check bool) "the same vertex on a geometric rung is refused" true
+    (match S.certify ~alpha S.Geometric_remap mechanism with Error _ -> true | Ok _ -> false);
+  with_store (fun _dir s ->
+      ok_write s c;
+      match Store.load s ~key with
+      | Error e -> Alcotest.failf "legacy entry refused: %s" (Store.error_to_string e)
+      | Ok None -> Alcotest.fail "legacy entry vanished"
+      | Ok (Some loaded) ->
+        check_artifact_equal "legacy tailored entry" c loaded;
+        Alcotest.(check bool) "still the tailored rung" true (Co.rung loaded = S.Tailored))
+
+(* --------------------------------------------------------------- *)
 (* Fault sites                                                      *)
 (* --------------------------------------------------------------- *)
 
@@ -436,6 +497,7 @@ let () =
           Alcotest.test_case "degraded releases are not persisted" `Quick
             test_degraded_not_written;
           Alcotest.test_case "stale temp files are swept" `Quick test_temp_sweep;
+          Alcotest.test_case "legacy rung=tailored entry loads" `Quick test_legacy_tailored_entry;
         ] );
       ( "faults",
         [ Alcotest.test_case "store.read/write/verify sites" `Quick test_fault_sites ] );
