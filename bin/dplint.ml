@@ -19,46 +19,11 @@
    0 = everything certified, 1 = violations found. *)
 
 open Cmdliner
-
-let rat_conv =
-  let parse s =
-    match Rat.of_string_opt s with
-    | Some r -> Ok r
-    | None -> Error (`Msg (Printf.sprintf "not a rational: %S (use p/q or decimals)" s))
-  in
-  Arg.conv (parse, fun fmt r -> Format.pp_print_string fmt (Rat.to_string r))
+open Cli
 
 let json_arg =
   let doc = "Emit the verdict as JSON on stdout instead of the human rendering." in
   Arg.(value & flag & info [ "json" ] ~doc)
-
-(* --trace / --metrics: install an ambient Obs recorder for the whole
-   command and dump it on exit (same contract as dpopt). *)
-let obs_term =
-  let trace =
-    let doc =
-      "Record spans and counters and write a Chrome trace-event file on exit \
-       (load it in chrome://tracing or Perfetto)."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let metrics =
-    let doc = "Print counters and histograms to stderr on exit." in
-    Arg.(value & flag & info [ "metrics" ] ~doc)
-  in
-  let setup trace metrics =
-    if trace <> None || metrics then begin
-      let r = Obs.create () in
-      Obs.set_current (Some r);
-      at_exit (fun () ->
-        Obs.set_current None;
-        (match trace with
-         | Some file -> Obs.write_chrome_trace r file
-         | None -> ());
-        if metrics then prerr_string (Obs.render_text r))
-    end
-  in
-  Term.(const setup $ trace $ metrics)
 
 let n_arg =
   let doc = "Range bound for --geometric; mechanisms act on {0..N}." in
@@ -80,37 +45,6 @@ let file_arg =
 (* Matrix input                                                      *)
 (* ----------------------------------------------------------------- *)
 
-let load_matrix path =
-  let ic = open_in path in
-  let lines =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-  in
-  let rows =
-    lines
-    |> List.map (fun l -> match String.index_opt l '#' with Some i -> String.sub l 0 i | None -> l)
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.map (fun line ->
-           line
-           |> String.split_on_char ' '
-           |> List.concat_map (String.split_on_char '\t')
-           |> List.filter (fun s -> s <> "")
-           |> List.map (fun s ->
-                  match Rat.of_string_opt s with
-                  | Some r -> r
-                  | None -> raise (Invalid_argument (Printf.sprintf "bad matrix entry %S" s))))
-  in
-  match rows with
-  | [] -> Error "empty matrix file"
-  | _ -> Ok (Array.of_list (List.map Array.of_list rows))
-
 let matrix_of_args ~geometric ~n ~alpha ~file =
   if geometric then
     if n < 1 then Error "need -n >= 1"
@@ -122,7 +56,7 @@ let matrix_of_args ~geometric ~n ~alpha ~file =
   else
     match file with
     | None -> Error "need either --geometric or a matrix FILE"
-    | Some path -> ( try load_matrix path with Invalid_argument msg -> Error msg)
+    | Some path -> Mech.Mechanism.rows_of_file path
 
 (* ----------------------------------------------------------------- *)
 (* Output                                                            *)
@@ -130,7 +64,7 @@ let matrix_of_args ~geometric ~n ~alpha ~file =
 
 (* Exit 1 on violations (distinct from cmdliner's 124 for CLI misuse). *)
 let render_reports ~json reports =
-  if json then print_endline (Check.Json.to_string (Check.Invariants.summary_to_json reports))
+  if json then print_endline (Obs.Json.to_string (Check.Invariants.summary_to_json reports))
   else
     List.iter
       (fun r -> Format.printf "%a@." Check.Invariants.pp_report r)
@@ -184,11 +118,11 @@ let check_mech_cmd =
         let reports = List.rev reports and skipped = List.rev skipped in
         if json then
           print_endline
-            (Check.Json.to_string
-               (Check.Json.Obj
+            (Obs.Json.to_string
+               (Obs.Json.Obj
                   [
                     ("summary", I.summary_to_json reports);
-                    ("skipped", Check.Json.List (List.map (fun s -> Check.Json.Str s) skipped));
+                    ("skipped", Obs.Json.List (List.map (fun s -> Obs.Json.Str s) skipped));
                   ]))
         else begin
           List.iter (fun r -> Format.printf "%a@." I.pp_report r) reports;
@@ -267,12 +201,12 @@ let lint_src_cmd =
     let diags = Check.Lint.scan_roots roots in
     if json then
       print_endline
-        (Check.Json.to_string
-           (Check.Json.Obj
+        (Obs.Json.to_string
+           (Obs.Json.Obj
               [
-                ("tool", Check.Json.Str "dplint");
-                ("ok", Check.Json.Bool (diags = []));
-                ("diagnostics", Check.Json.List (List.map Check.Diagnostic.to_json diags));
+                ("tool", Obs.Json.Str "dplint");
+                ("ok", Obs.Json.Bool (diags = []));
+                ("diagnostics", Obs.Json.List (List.map Check.Diagnostic.to_json diags));
               ]))
     else begin
       List.iter (fun d -> Format.printf "%a@." Check.Diagnostic.pp d) diags;
@@ -369,11 +303,11 @@ let analyze_cmd =
         let o = Analysis.run ~baseline cfg in
         if json then
           print_endline
-            (Check.Json.to_string
-               (Check.Json.Obj
+            (Obs.Json.to_string
+               (Obs.Json.Obj
                   [
-                    ("tool", Check.Json.Str "dplint");
-                    ("ok", Check.Json.Bool (o.Analysis.errors = 0));
+                    ("tool", Obs.Json.Str "dplint");
+                    ("ok", Obs.Json.Bool (o.Analysis.errors = 0));
                     ("report", Analysis.to_json o);
                   ]))
         else begin

@@ -17,18 +17,11 @@
 *)
 
 open Cmdliner
+open Cli
 
 (* ----------------------------------------------------------------- *)
 (* Argument converters                                               *)
 (* ----------------------------------------------------------------- *)
-
-let rat_conv =
-  let parse s =
-    match Rat.of_string_opt s with
-    | Some r -> Ok r
-    | None -> Error (`Msg (Printf.sprintf "not a rational: %S (use p/q or decimals)" s))
-  in
-  Arg.conv (parse, fun fmt r -> Format.pp_print_string fmt (Rat.to_string r))
 
 let alpha_arg =
   let doc = "Privacy parameter α, a rational in (0,1); larger = more private." in
@@ -41,34 +34,6 @@ let n_arg =
 let seed_arg =
   let doc = "PRNG seed (runs are deterministic given the seed)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-(* --trace / --metrics: install an ambient Obs recorder for the whole
-   command and dump it on exit. Shared by every subcommand. *)
-let obs_term =
-  let trace =
-    let doc =
-      "Record spans and counters and write a Chrome trace-event file on exit \
-       (load it in chrome://tracing or Perfetto)."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let metrics =
-    let doc = "Print counters and histograms to stderr on exit." in
-    Arg.(value & flag & info [ "metrics" ] ~doc)
-  in
-  let setup trace metrics =
-    if trace <> None || metrics then begin
-      let r = Obs.create () in
-      Obs.set_current (Some r);
-      at_exit (fun () ->
-        Obs.set_current None;
-        (match trace with
-         | Some file -> Obs.write_chrome_trace r file
-         | None -> ());
-        if metrics then prerr_string (Obs.render_text r))
-    end
-  in
-  Term.(const setup $ trace $ metrics)
 
 let decimal_arg =
   let doc = "Print probabilities as decimals instead of exact fractions." in
@@ -109,75 +74,33 @@ let budget_thunk_term =
   in
   Term.(const mk $ budget_flags)
 
-let loss_conv =
-  let parse s =
-    let module L = Minimax.Loss in
-    match String.split_on_char ':' s with
-    | [ "absolute" ] | [ "abs" ] -> Ok L.absolute
-    | [ "squared" ] | [ "sq" ] -> Ok L.squared
-    | [ "zero-one" ] | [ "01" ] -> Ok L.zero_one
-    | [ "deadzone"; w ] -> (
-      match int_of_string_opt w with
-      | Some w when w >= 0 -> Ok (L.deadzone ~width:w)
-      | _ -> Error (`Msg "deadzone:<width> needs a non-negative integer"))
-    | [ "capped"; c ] -> (
-      match int_of_string_opt c with
-      | Some c when c >= 1 -> Ok (L.capped ~cap:c)
-      | _ -> Error (`Msg "capped:<cap> needs a positive integer"))
-    | [ "asym"; ou ] -> (
-      match String.split_on_char ',' ou with
-      | [ o; u ] -> (
-        match (Rat.of_string_opt o, Rat.of_string_opt u) with
-        | Some over, Some under -> Ok (L.asymmetric ~over ~under)
-        | _ -> Error (`Msg "asym:<over>,<under> needs two rationals"))
-      | _ -> Error (`Msg "asym:<over>,<under>"))
-    | _ ->
-      Error
-        (`Msg
-           "unknown loss (choose absolute | squared | zero-one | deadzone:<w> | capped:<c> | \
-            asym:<over>,<under>)")
-  in
-  Arg.conv (parse, fun fmt l -> Format.pp_print_string fmt (Minimax.Loss.name l))
-
+(* --loss / --side take the request-line grammar of Engine.Request, so
+   the CLI and the wire parse one language and build one consumer. *)
 let loss_arg =
   let doc =
     "Loss function: absolute, squared, zero-one, deadzone:<w>, capped:<c>, or \
      asym:<over>,<under>."
   in
-  Arg.(value & opt loss_conv Minimax.Loss.absolute & info [ "l"; "loss" ] ~docv:"LOSS" ~doc)
-
-(* side information: "full", "lo-hi", ">=k", "<=k", or "1,3,5" *)
-let side_info_of_string ~n s =
-  let fail msg = Error (`Msg msg) in
-  try
-    if s = "full" then Ok (Minimax.Side_info.full n)
-    else if String.length s > 2 && String.sub s 0 2 = ">=" then
-      Ok (Minimax.Side_info.at_least ~n (int_of_string (String.sub s 2 (String.length s - 2))))
-    else if String.length s > 2 && String.sub s 0 2 = "<=" then
-      Ok (Minimax.Side_info.at_most ~n (int_of_string (String.sub s 2 (String.length s - 2))))
-    else if String.contains s '-' then
-      match String.split_on_char '-' s with
-      | [ lo; hi ] -> Ok (Minimax.Side_info.interval ~n (int_of_string lo) (int_of_string hi))
-      | _ -> fail "range must be lo-hi"
-    else Ok (Minimax.Side_info.make ~n (List.map int_of_string (String.split_on_char ',' s)))
-  with
-  | Failure _ -> fail (Printf.sprintf "cannot parse side information %S" s)
-  | Invalid_argument msg -> fail msg
+  Arg.(value & opt string "absolute" & info [ "l"; "loss" ] ~docv:"LOSS" ~doc)
 
 let side_arg =
   let doc = "Side information: full, lo-hi, >=k, <=k, or a comma list of members." in
   Arg.(value & opt string "full" & info [ "s"; "side" ] ~docv:"SIDE" ~doc)
+
+let request_of ~n ~alpha ~loss ~side =
+  let module R = Engine.Request in
+  match (R.loss_spec_of_string loss, R.side_spec_of_string side) with
+  | Error m, _ | _, Error m -> Error m
+  | Ok loss, Ok side -> R.make ~n ~alpha ~loss ~side ()
+
+let consumer_of ~n ~alpha ~loss ~side =
+  Result.map Engine.Request.consumer (request_of ~n ~alpha ~loss ~side)
 
 let print_mechanism ~decimal m =
   let table =
     if decimal then Report.Table.of_mechanism ~places:4 m else Report.Table.of_mechanism m
   in
   Report.Table.print table
-
-let consumer_of ~n ~loss ~side =
-  match side_info_of_string ~n side with
-  | Error (`Msg m) -> Error m
-  | Ok side_info -> Ok (Minimax.Consumer.make ~loss ~side_info ())
 
 (* ----------------------------------------------------------------- *)
 (* geometric                                                         *)
@@ -235,7 +158,7 @@ let optimal_cmd =
     Arg.(value & flag & info [ "lfp" ] ~doc)
   in
   let run () n alpha loss side structured lfp decimal budget =
-    match consumer_of ~n ~loss ~side with
+    match consumer_of ~n ~alpha ~loss ~side with
     | Error m -> `Error (false, m)
     | Ok _ when structured && Option.is_some budget ->
       `Error (false, "--structured does not take a budget (drop the flag, or use `dpopt serve`)")
@@ -289,52 +212,35 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let loss_spec_arg =
-    let doc =
-      "Loss function: absolute, squared, zero-one, deadzone:<w>, capped:<c>, or \
-       asym:<over>,<under>."
-    in
-    Arg.(value & opt string "absolute" & info [ "l"; "loss" ] ~docv:"LOSS" ~doc)
-  in
   let run () n alpha loss side decimal json budget =
-    let specs =
-      match
-        (Engine.Request.loss_spec_of_string loss, Engine.Request.side_spec_of_string side)
-      with
-      | Ok l, Ok s -> Ok (l, s)
-      | Error m, _ | _, Error m -> Error m
-    in
-    match specs with
+    match request_of ~n ~alpha ~loss ~side with
     | Error m -> `Error (false, m)
-    | Ok (loss, side) -> (
-      match Engine.Request.make ~n ~alpha ~loss ~side () with
-      | Error m -> `Error (false, m)
-      | Ok request ->
-        let module S = Minimax.Serve in
-        let consumer = Engine.Request.consumer request in
-        let s = S.serve ?budget ~alpha consumer in
-        let p = s.S.provenance in
-        Printf.printf "consumer   : %s\n" (Minimax.Consumer.label consumer);
-        Printf.printf "rung       : %s%s\n"
-          (S.rung_to_string p.S.rung)
-          (match p.S.rung with
-           | S.Geometric_remap -> " (G(n,α) + optimal interaction = the §2.5 optimum, Theorem 1)"
-           | S.Geometric_raw -> " (raw G(n,α), Theorem 2)"
-           | S.Tailored -> "");
-        Printf.printf "loss       : %s (= %s)\n" (Rat.to_string s.S.loss)
-          (Rat.to_decimal_string ~places:6 s.S.loss);
-        Printf.printf "provenance : %s\n" (S.provenance_to_string p);
-        if json then
-          print_endline
-            (Server.Response.to_line
-               (Server.Response.of_served ~key:(Engine.Request.canonical_key request) s));
-        print_mechanism ~decimal s.S.mechanism;
-        `Ok ())
+    | Ok request ->
+      let module S = Minimax.Serve in
+      let consumer = Engine.Request.consumer request in
+      let s = S.serve ?budget ~alpha consumer in
+      let p = s.S.provenance in
+      Printf.printf "consumer   : %s\n" (Minimax.Consumer.label consumer);
+      Printf.printf "rung       : %s%s\n"
+        (S.rung_to_string p.S.rung)
+        (match p.S.rung with
+         | S.Geometric_remap -> " (G(n,α) + optimal interaction = the §2.5 optimum, Theorem 1)"
+         | S.Geometric_raw -> " (raw G(n,α), Theorem 2)"
+         | S.Tailored -> "");
+      Printf.printf "loss       : %s (= %s)\n" (Rat.to_string s.S.loss)
+        (Rat.to_decimal_string ~places:6 s.S.loss);
+      Printf.printf "provenance : %s\n" (S.provenance_to_string p);
+      if json then
+        print_endline
+          (Server.Response.to_line
+             (Server.Response.of_served ~key:(Engine.Request.canonical_key request) s));
+      print_mechanism ~decimal s.S.mechanism;
+      `Ok ()
   in
   let term =
     Term.(
       ret
-        (const run $ obs_term $ n_arg $ alpha_arg $ loss_spec_arg $ side_arg $ decimal_arg
+        (const run $ obs_term $ n_arg $ alpha_arg $ loss_arg $ side_arg $ decimal_arg
        $ json $ budget_term))
   in
   Cmd.v
@@ -731,7 +637,7 @@ let client_cmd =
 
 let interact_cmd =
   let run () n alpha loss side decimal =
-    match consumer_of ~n ~loss ~side with
+    match consumer_of ~n ~alpha ~loss ~side with
     | Error m -> `Error (false, m)
     | Ok consumer ->
       let deployed = Mech.Geometric.matrix ~n ~alpha in
@@ -806,36 +712,15 @@ let verify_cmd =
     Arg.(value & opt (some string) None & info [ "f"; "file" ] ~docv:"FILE" ~doc)
   in
   let run () alpha file =
-    let read_lines ic =
-      let rec go acc = match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go []
-    in
-    let lines =
+    let rows =
       match file with
-      | Some f ->
-        let ic = open_in f in
-        let l = read_lines ic in
-        close_in ic;
-        l
-      | None -> read_lines stdin
+      | Some f -> Mech.Mechanism.rows_of_file f
+      | None -> Mech.Mechanism.rows_of_text (In_channel.input_all stdin)
     in
-    let lines = List.filter (fun l -> String.trim l <> "") lines in
-    let parse_row line =
-      line
-      |> String.split_on_char ' '
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             match Rat.of_string_opt s with
-             | Some r -> r
-             | None -> failwith (Printf.sprintf "bad entry %S" s))
-    in
-    match List.map parse_row lines with
-    | exception Failure m -> `Error (false, m)
-    | rows -> (
-      match Mech.Mechanism.of_rows rows with
+    match rows with
+    | Error m -> `Error (false, m)
+    | Ok rows -> (
+      match Mech.Mechanism.make rows with
       | exception Mech.Mechanism.Not_stochastic m -> `Error (false, "not a mechanism: " ^ m)
       | m ->
         let level = Mech.Mechanism.privacy_level m in

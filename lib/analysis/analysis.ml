@@ -78,11 +78,11 @@ let run ?(baseline = Baseline.empty) config =
   { diagnostics; errors = count D.Error; warnings = count D.Warning; suppressed; files }
 
 let to_json o =
-  Check.Json.Obj
+  Obs.Json.Obj
     [
-      ("files", Check.Json.Int o.files);
-      ("errors", Check.Json.Int o.errors);
-      ("warnings", Check.Json.Int o.warnings);
-      ("suppressed", Check.Json.Int o.suppressed);
-      ("diagnostics", Check.Json.List (List.map D.to_json o.diagnostics));
+      ("files", Obs.Json.Int o.files);
+      ("errors", Obs.Json.Int o.errors);
+      ("warnings", Obs.Json.Int o.warnings);
+      ("suppressed", Obs.Json.Int o.suppressed);
+      ("diagnostics", Obs.Json.List (List.map D.to_json o.diagnostics));
     ]

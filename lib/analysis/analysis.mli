@@ -50,7 +50,7 @@ val raw : config -> Check.Diagnostic.t list
 
 val run : ?baseline:Baseline.t -> config -> outcome
 
-val to_json : outcome -> Check.Json.t
+val to_json : outcome -> Obs.Json.t
 (** [{"files": …, "errors": …, "warnings": …, "suppressed": …,
     "diagnostics": […]}] with each diagnostic in
     {!Check.Diagnostic.to_json} form. *)

@@ -1,7 +1,7 @@
 (* Accepted-findings baseline; see baseline.mli. *)
 
 module D = Check.Diagnostic
-module J = Check.Json
+module J = Obs.Json
 
 type entry = { brule : string; bfile : string; bsymbol : string; allowed : int }
 type t = entry list
@@ -57,32 +57,19 @@ let to_json t =
     ]
 
 let of_json json =
-  let ( let* ) = Result.bind in
-  let str k o =
-    match Option.bind (J.member k o) J.to_str_opt with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "baseline entry: missing string %S" k)
-  in
-  let* entries_json =
-    match J.member "entries" json with
-    | Some (J.List l) -> Ok l
-    | _ -> Error "baseline: missing \"entries\" list"
-  in
+  let open J in
+  let* entries = list_field ~ctx:"baseline" "entries" json in
+  let ctx = "baseline entry" in
   let* entries =
-    List.fold_left
-      (fun acc o ->
-        let* acc = acc in
-        let* brule = str "rule" o in
-        let* bfile = str "file" o in
-        let* bsymbol = str "symbol" o in
-        let* allowed =
-          match Option.bind (J.member "allowed" o) J.to_int_opt with
-          | Some n when n > 0 -> Ok n
-          | Some _ -> Error "baseline entry: \"allowed\" must be positive"
-          | None -> Error "baseline entry: missing int \"allowed\""
-        in
-        Ok ({ brule; bfile; bsymbol; allowed } :: acc))
-      (Ok []) entries_json
+    map_result
+      (fun o ->
+        let* brule = str_field ~ctx "rule" o in
+        let* bfile = str_field ~ctx "file" o in
+        let* bsymbol = str_field ~ctx "symbol" o in
+        let* allowed = int_field ~ctx "allowed" o in
+        if allowed > 0 then Ok { brule; bfile; bsymbol; allowed }
+        else Error "baseline entry: \"allowed\" must be positive")
+      entries
   in
   Ok (List.sort compare_entry entries)
 

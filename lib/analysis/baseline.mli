@@ -22,8 +22,8 @@ val of_diagnostics : Check.Diagnostic.t list -> t
 (** Group error-severity diagnostics into a baseline accepting exactly
     the current state. Warnings are not baselined. *)
 
-val to_json : t -> Check.Json.t
-val of_json : Check.Json.t -> (t, string) result
+val to_json : t -> Obs.Json.t
+val of_json : Obs.Json.t -> (t, string) result
 val load : string -> (t, string) result
 val save : string -> t -> unit
 

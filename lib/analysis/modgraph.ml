@@ -204,7 +204,7 @@ let resolve g u file chain =
   match chain with
   | [] -> []
   | head :: rest -> (
-    (* wrapped-library self reference: Check.Json inside lib check *)
+    (* wrapped-library self reference: Check.Invariants inside lib check *)
     if u.is_lib && head = cap u.uname && rest <> [] then
       match module_file u (List.hd rest) with
       | Some p when p <> file -> [ p ]

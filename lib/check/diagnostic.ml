@@ -28,25 +28,25 @@ let rats kvs = List.map (fun (k, v) -> (k, Rat.to_string v)) kvs
 
 let location_to_json = function
   | Matrix_cell { row; col } ->
-    Json.Obj [ ("kind", Json.Str "cell"); ("row", Json.Int row); ("col", Json.Int col) ]
-  | Matrix_row { row } -> Json.Obj [ ("kind", Json.Str "row"); ("row", Json.Int row) ]
+    Obs.Json.Obj [ ("kind", Obs.Json.Str "cell"); ("row", Obs.Json.Int row); ("col", Obs.Json.Int col) ]
+  | Matrix_row { row } -> Obs.Json.Obj [ ("kind", Obs.Json.Str "row"); ("row", Obs.Json.Int row) ]
   | Adjacent_pair { row; col } ->
-    Json.Obj
-      [ ("kind", Json.Str "adjacent-pair"); ("row", Json.Int row); ("col", Json.Int col) ]
+    Obs.Json.Obj
+      [ ("kind", Obs.Json.Str "adjacent-pair"); ("row", Obs.Json.Int row); ("col", Obs.Json.Int col) ]
   | Column_triple { col; mid } ->
-    Json.Obj [ ("kind", Json.Str "column-triple"); ("col", Json.Int col); ("mid", Json.Int mid) ]
+    Obs.Json.Obj [ ("kind", Obs.Json.Str "column-triple"); ("col", Obs.Json.Int col); ("mid", Obs.Json.Int mid) ]
   | Source_line { file; line } ->
-    Json.Obj [ ("kind", Json.Str "source"); ("file", Json.Str file); ("line", Json.Int line) ]
-  | Whole -> Json.Obj [ ("kind", Json.Str "whole") ]
+    Obs.Json.Obj [ ("kind", Obs.Json.Str "source"); ("file", Obs.Json.Str file); ("line", Obs.Json.Int line) ]
+  | Whole -> Obs.Json.Obj [ ("kind", Obs.Json.Str "whole") ]
 
 let to_json d =
-  Json.Obj
+  Obs.Json.Obj
     [
-      ("rule", Json.Str d.rule);
-      ("severity", Json.Str (match d.severity with Error -> "error" | Warning -> "warning"));
+      ("rule", Obs.Json.Str d.rule);
+      ("severity", Obs.Json.Str (match d.severity with Error -> "error" | Warning -> "warning"));
       ("location", location_to_json d.location);
-      ("message", Json.Str d.message);
-      ("witness", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) d.witness));
+      ("message", Obs.Json.Str d.message);
+      ("witness", Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Str v)) d.witness));
     ]
 
 let pp_location fmt = function

@@ -36,6 +36,6 @@ val warning : ?witness:(string * string) list -> rule:string -> location -> stri
 val rats : (string * Rat.t) list -> (string * string) list
 (** Witness builder: exact rationals rendered as ["p/q"]. *)
 
-val to_json : t -> Json.t
+val to_json : t -> Obs.Json.t
 val pp : Format.formatter -> t -> unit
 (** One-line human rendering: [rule @ location: message [witness]]. *)

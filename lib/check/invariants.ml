@@ -433,33 +433,55 @@ let check_derivable ~alpha m =
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let pairs_to_json kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs)
+module J = Obs.Json
+
+(* [params]/[tight] as [[key,value]] pairs: the shape the store has
+   persisted since its first format version. *)
+let pairs_to_json kvs = J.List (List.map (fun (k, v) -> J.List [ J.Str k; J.Str v ]) kvs)
 
 let certificate_to_json c =
-  Json.Obj
+  J.Obj
     [
-      ("rule", Json.Str c.cert_rule);
+      ("rule", J.Str c.cert_rule);
       ("params", pairs_to_json c.params);
-      ("constraints_checked", Json.Int c.constraints_checked);
+      ("constraints_checked", J.Int c.constraints_checked);
       ("tight", pairs_to_json c.tight);
     ]
 
+let certificate_of_json ~ctx json =
+  let open J in
+  let pairs name =
+    let* v = field ~ctx name json in
+    match v with
+    | List l ->
+      map_result
+        (function
+          | List [ Str k; Str v ] -> Ok (k, v)
+          | _ -> Error (name ^ " entry is not a [key,value] pair"))
+        l
+    | _ -> Error (name ^ " is not a list")
+  in
+  let* cert_rule = str_field ~ctx "rule" json in
+  let* params = pairs "params" in
+  let* constraints_checked = int_field ~ctx "constraints_checked" json in
+  let* tight = pairs "tight" in
+  Ok { cert_rule; params; constraints_checked; tight }
+
 let report_to_json r =
-  Json.Obj
+  J.Obj
     [
-      ("rule", Json.Str r.rule);
-      ("ok", Json.Bool (passed r));
-      ("diagnostics", Json.List (List.map D.to_json r.diagnostics));
-      ("certificate",
-       match r.certificate with None -> Json.Null | Some c -> certificate_to_json c);
+      ("rule", J.Str r.rule);
+      ("ok", J.Bool (passed r));
+      ("diagnostics", J.List (List.map D.to_json r.diagnostics));
+      ("certificate", match r.certificate with None -> J.Null | Some c -> certificate_to_json c);
     ]
 
 let summary_to_json rs =
-  Json.Obj
+  J.Obj
     [
-      ("tool", Json.Str "dplint");
-      ("ok", Json.Bool (all_passed rs));
-      ("reports", Json.List (List.map report_to_json rs));
+      ("tool", J.Str "dplint");
+      ("ok", J.Bool (all_passed rs));
+      ("reports", J.List (List.map report_to_json rs));
     ]
 
 let pp_report fmt r =

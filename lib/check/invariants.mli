@@ -78,10 +78,17 @@ val check_derivable : alpha:Rat.t -> Rat.t array array -> report list
 
 (** {1 Serialization} *)
 
-val certificate_to_json : certificate -> Json.t
-val report_to_json : report -> Json.t
+val certificate_to_json : certificate -> Obs.Json.t
+(** [params] and [tight] render as lists of [[key,value]] string pairs
+    (the persisted store shape). *)
 
-val summary_to_json : report list -> Json.t
+val certificate_of_json : ctx:string -> Obs.Json.t -> (certificate, string) result
+(** Inverse of {!certificate_to_json}; [ctx] prefixes missing- and
+    mistyped-field errors (see {!Obs.Json.field}). *)
+
+val report_to_json : report -> Obs.Json.t
+
+val summary_to_json : report list -> Obs.Json.t
 (** [{"tool": "dplint", "ok": …, "reports": […]}]. *)
 
 val pp_report : Format.formatter -> report -> unit

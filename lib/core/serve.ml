@@ -33,6 +33,12 @@ let rung_to_string = function
   | Geometric_remap -> "geometric+remap"
   | Geometric_raw -> "geometric"
 
+let rung_of_string = function
+  | "tailored" -> Some Tailored
+  | "geometric+remap" -> Some Geometric_remap
+  | "geometric" -> Some Geometric_raw
+  | _ -> None
+
 let reason_to_string = function
   | Solver e -> Lp.Solver_error.to_string e
   | Uncertified rule -> "uncertified:" ^ rule
@@ -72,6 +78,32 @@ let provenance_to_json p =
       ("peak_bits", Obs.Json.Int p.peak_bits);
       ("checks", Obs.Json.List (List.map (fun c -> Obs.Json.Str c) p.checks));
     ]
+
+(* Only undegraded provenance is ever persisted (a degraded release
+   records one process's budget pressure, not a property of the
+   consumer), so that is the only shape this decoder reads back. *)
+let provenance_of_json ~ctx json =
+  let open Obs.Json in
+  let* rung = str_field ~ctx "rung" json in
+  let* rung =
+    match rung_of_string rung with Some r -> Ok r | None -> Error ("unknown rung " ^ rung)
+  in
+  let* alpha = rat_field ~ctx "alpha" json in
+  let* n = int_field ~ctx "n" json in
+  let* attempts = list_field ~ctx "attempts" json in
+  let* () =
+    if attempts = [] then Ok () else Error (ctx ^ " records a degraded release")
+  in
+  let* pivots_spent = int_field ~ctx "pivots_spent" json in
+  let* peak_bits = int_field ~ctx "peak_bits" json in
+  let* checks = list_field ~ctx "checks" json in
+  let* checks =
+    map_result
+      (fun c ->
+        match to_str_opt c with Some s -> Ok s | None -> Error "checks entry is not a string")
+      checks
+  in
+  Ok { rung; alpha; n; attempts = []; pivots_spent; peak_bits; checks }
 
 (* The one certification rule. Derivability is demanded wherever it
    holds by construction — every rung [serve] builds factors through

@@ -88,7 +88,17 @@ val serve : ?budget:Lp.Budget.t -> alpha:Rat.t -> Consumer.t -> served
 val rung_to_string : rung -> string
 (** ["tailored"], ["geometric+remap"], ["geometric"]. *)
 
+val rung_of_string : string -> rung option
+(** Inverse of {!rung_to_string}; still reads ["tailored"], the rung
+    legacy artifacts were persisted under. *)
+
 val provenance_to_string : provenance -> string
 (** Single-line deterministic rendering, for logs and chaos tests. *)
 
 val provenance_to_json : provenance -> Obs.Json.t
+
+val provenance_of_json : ctx:string -> Obs.Json.t -> (provenance, string) result
+(** Inverse of {!provenance_to_json} on undegraded provenance
+    ([attempts = []]), the only shape the store persists; a non-empty
+    [attempts] list is an error. [ctx] prefixes missing- and
+    mistyped-field errors (see {!Obs.Json.field}). *)

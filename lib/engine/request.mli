@@ -19,8 +19,8 @@
       (reduced fraction, normalized sign). *)
 
 (** Loss function, by name — the engine needs a comparable description,
-    not a closure, to key its cache. Mirrors the [dpopt --loss]
-    grammar. *)
+    not a closure, to key its cache. The [loss=] grammar
+    ({!loss_spec_of_string}) is also what [dpopt --loss] parses. *)
 type loss_spec =
   | Absolute
   | Squared
@@ -29,7 +29,8 @@ type loss_spec =
   | Capped of int  (** [min cap |i−r|] *)
   | Asymmetric of Rat.t * Rat.t  (** per-unit over / under costs *)
 
-(** Side information, by name. Mirrors the [dpopt --side] grammar. *)
+(** Side information, by name. The [side=] grammar
+    ({!side_spec_of_string}) is also what [dpopt --side] parses. *)
 type side_spec =
   | Full
   | At_least of int
@@ -141,12 +142,13 @@ val session_to_line : ?id:string -> session_verb -> string
     equal verb with the same [id]). *)
 
 val loss_spec_of_string : string -> (loss_spec, string) result
-(** Parse the [loss=] value grammar on its own (shared with the
-    [dpopt --loss] flag). *)
+(** Parse the [loss=] value grammar on its own. Every [dpopt]
+    subcommand parses [--loss] with it and builds its consumer with
+    {!make} and {!consumer}. *)
 
 val side_spec_of_string : string -> (side_spec, string) result
-(** Parse the [side=] value grammar on its own (shared with the
-    [dpopt --side] flag). *)
+(** Parse the [side=] value grammar on its own (likewise [dpopt
+    --side]). *)
 
 val canonical_key : t -> string
 (** The consumer part only — [input]/[count] never enter the key. Equal

@@ -34,6 +34,28 @@ let make matrix =
 
 let of_rows rows = make (Array.of_list (List.map Array.of_list rows))
 
+let rows_of_text text =
+  let exception Bad_entry of string in
+  let row line =
+    let line = match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line in
+    String.split_on_char ' ' line
+    |> List.concat_map (String.split_on_char '\t')
+    |> List.filter_map (fun s ->
+           if s = "" then None
+           else match Rat.of_string_opt s with Some r -> Some r | None -> raise (Bad_entry s))
+  in
+  match List.filter (fun r -> r <> []) (List.map row (String.split_on_char '\n' text)) with
+  | exception Bad_entry s -> Error (Printf.sprintf "bad matrix entry %S" s)
+  | [] -> Error "empty matrix file"
+  | rows -> Ok (Array.of_list (List.map Array.of_list rows))
+
+let rows_of_file path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> rows_of_text text
+  | exception Sys_error m ->
+    (* open errors name the file; read errors (a directory) do not *)
+    Error (if String.starts_with ~prefix:path m then m else path ^ ": " ^ m)
+
 let n t = t.n
 let size t = t.n + 1
 let prob t ~input ~output = t.matrix.(input).(output)

@@ -21,6 +21,18 @@ val make : Rat.t array array -> t
 val of_rows : Rat.t list list -> t
 (** List-of-rows convenience over {!make}. *)
 
+val rows_of_text : string -> (Rat.t array array, string) result
+(** The one reader of the mechanism-matrix text format: one row per
+    line, entries as rationals ([p/q] or decimals) separated by spaces
+    or tabs, ['#'] starting a comment that runs to the end of the line,
+    blank lines skipped. Rows come back unvalidated (pass them to
+    {!make}, or to the analyzer, which diagnoses every defect);
+    [Error] names the first bad entry, or reports an empty matrix. *)
+
+val rows_of_file : string -> (Rat.t array array, string) result
+(** {!rows_of_text} over a file; an unreadable file is an [Error]
+    naming it. *)
+
 val identity : int -> t
 (** The non-private mechanism that releases the true count. *)
 

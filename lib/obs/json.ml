@@ -235,3 +235,38 @@ let to_int_opt = function
 let to_str_opt = function
   | Str s -> Some s
   | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Decoding                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+    let* y = f x in
+    let* ys = map_result f rest in
+    Ok (y :: ys)
+
+let field ~ctx name json =
+  match member name json with
+  | Some v -> Ok v
+  | None -> Error (ctx ^ " missing " ^ name)
+
+let typed ~ctx ~what conv name json =
+  let* v = field ~ctx name json in
+  match conv v with
+  | Some x -> Ok x
+  | None -> Error (ctx ^ " field " ^ name ^ " is not " ^ what)
+
+let str_field ~ctx = typed ~ctx ~what:"a string" to_str_opt
+let int_field ~ctx = typed ~ctx ~what:"an integer" to_int_opt
+
+let rat_field ~ctx name json =
+  let* s = str_field ~ctx name json in
+  match Rat.of_string_opt s with
+  | Some r -> Ok r
+  | None -> Error (ctx ^ " field " ^ name ^ " is not a rational")
+
+let list_field ~ctx = typed ~ctx ~what:"a list" (function List l -> Some l | _ -> None)

@@ -41,3 +41,25 @@ val member : string -> t -> t option
 
 val to_int_opt : t -> int option
 val to_str_opt : t -> string option
+
+(** {1 Decoding}
+
+    The one set of field decoders every persisted format reads with
+    (store payloads, session checkpoints and certificates, the analysis
+    baseline). Each
+    takes the context word its format's error messages start with, so
+    a missing field reads ["<ctx> missing <name>"] and a mistyped one
+    ["<ctx> field <name> is not a string"] (or [an integer], [a
+    rational], [a list]). *)
+
+val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
+val map_result : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
+(** The first error in list order, or every result. *)
+
+val field : ctx:string -> string -> t -> (t, string) result
+val str_field : ctx:string -> string -> t -> (string, string) result
+val int_field : ctx:string -> string -> t -> (int, string) result
+val rat_field : ctx:string -> string -> t -> (Rat.t, string) result
+(** A string field holding a {!rat}-encoded rational. *)
+
+val list_field : ctx:string -> string -> t -> (t list, string) result

@@ -24,8 +24,8 @@
     a {!Clock.Fake} and assert byte-exact sink output. *)
 
 module Json = Json
-(** Re-export of the JSON module all sinks emit; [Check.Json] is the
-    same module, re-exported for the analyzer's certificates. *)
+(** Re-export of the JSON module all sinks emit, and the one JSON
+    reader and field decoder set every persisted format uses. *)
 
 (** {1 Clocks} *)
 

@@ -120,43 +120,13 @@ let to_json t =
       ("posterior", J.Str t.posterior);
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error ("certificate missing " ^ name)
-
-let int_field name json =
-  let* v = field name json in
-  match J.to_int_opt v with
-  | Some i -> Ok i
-  | None -> Error ("certificate field " ^ name ^ " is not an integer")
-
-let str_field name json =
-  let* v = field name json in
-  match J.to_str_opt v with
-  | Some s -> Ok s
-  | None -> Error ("certificate field " ^ name ^ " is not a string")
-
-let list_field name json =
-  let* v = field name json in
-  match v with
-  | J.List l -> Ok l
-  | _ -> Error ("certificate field " ^ name ^ " is not a list")
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
 let of_json json =
-  let* group = str_field "group" json in
-  let* epoch = int_field "epoch" json in
-  let* n = int_field "n" json in
-  let* levels = list_field "levels" json in
+  let open J in
+  let ctx = "certificate" in
+  let* group = str_field ~ctx "group" json in
+  let* epoch = int_field ~ctx "epoch" json in
+  let* n = int_field ~ctx "n" json in
+  let* levels = list_field ~ctx "levels" json in
   let* levels =
     map_result
       (fun l ->
@@ -165,7 +135,7 @@ let of_json json =
         | None -> Error "certificate level is not a rational")
       levels
   in
-  let* values = list_field "values" json in
+  let* values = list_field ~ctx "values" json in
   let* values =
     map_result
       (fun v ->
@@ -174,7 +144,7 @@ let of_json json =
         | None -> Error "certificate value is not an integer")
       values
   in
-  let* checks = list_field "checks" json in
+  let* checks = list_field ~ctx "checks" json in
   let* checks =
     map_result
       (fun c ->
@@ -183,7 +153,7 @@ let of_json json =
         | None -> Error "certificate check is not a string")
       checks
   in
-  let* posterior = str_field "posterior" json in
+  let* posterior = str_field ~ctx "posterior" json in
   Ok
     {
       group;

@@ -180,59 +180,24 @@ let checkpoint_now t =
 
 (* --- verify-on-load ------------------------------------------------ *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "checkpoint missing %s" name)
-
-let int_field name json =
-  let* v = field name json in
-  match J.to_int_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "checkpoint field %s is not an integer" name)
-
-let str_field name json =
-  let* v = field name json in
-  match J.to_str_opt v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "checkpoint field %s is not a string" name)
-
-let rat_field name json =
-  let* s = str_field name json in
-  match Rat.of_string_opt s with
-  | Some r -> Ok r
-  | None -> Error (Printf.sprintf "checkpoint field %s is not a rational" name)
-
-let list_field name json =
-  let* v = field name json in
-  match v with
-  | J.List l -> Ok l
-  | _ -> Error (Printf.sprintf "checkpoint field %s is not a list" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+let ( let* ) = J.( let* )
+let ctx = "checkpoint"
 
 let unit_interval r = Rat.sign r > 0 && Rat.compare r Rat.one < 0
 
 let subscriber_of_json json =
-  let* sub = str_field "sub" json in
+  let* sub = J.str_field ~ctx "sub" json in
   let* () = if valid_name sub then Ok () else Error "checkpoint names an invalid subscriber" in
-  let* level = rat_field "level" json in
+  let* level = J.rat_field ~ctx "level" json in
   let* () = if unit_interval level then Ok () else Error "checkpoint level out of (0,1)" in
   let* floor =
     match J.member "floor" json with
     | None | Some J.Null -> Ok None
     | Some _ ->
-      let* f = rat_field "floor" json in
+      let* f = J.rat_field ~ctx "floor" json in
       if unit_interval f then Ok (Some f) else Error "checkpoint floor out of (0,1)"
   in
-  let* spent = rat_field "spent" json in
+  let* spent = J.rat_field ~ctx "spent" json in
   let* () =
     if Rat.sign spent > 0 && Rat.compare spent Rat.one <= 0 then Ok ()
     else Error "checkpoint spent out of (0,1]"
@@ -243,17 +208,17 @@ let subscriber_of_json json =
       Error "checkpoint spent below its own floor (ledger incoherent)"
     | _ -> Ok ()
   in
-  let* served = int_field "served" json in
-  let* refusals = int_field "refusals" json in
+  let* served = J.int_field ~ctx "served" json in
+  let* refusals = J.int_field ~ctx "refusals" json in
   let* () =
     if served >= 0 && refusals >= 0 then Ok () else Error "checkpoint counts negative"
   in
   Ok { sub; level; floor; spent; served; refusals; active = false }
 
 let group_of_json ~seed json =
-  let* gkey = str_field "group" json in
-  let* n = int_field "n" json in
-  let* input = int_field "input" json in
+  let* gkey = J.str_field ~ctx "group" json in
+  let* n = J.int_field ~ctx "n" json in
+  let* input = J.int_field ~ctx "input" json in
   let* () = if n >= 1 then Ok () else Error "checkpoint group has n < 1" in
   let* () =
     if input >= 0 && input <= n then Ok () else Error "checkpoint group input out of range"
@@ -262,10 +227,10 @@ let group_of_json ~seed json =
     if String.equal gkey (group_key ~n ~input) then Ok ()
     else Error (Printf.sprintf "checkpoint group key %S is not canonical" gkey)
   in
-  let* epoch = int_field "epoch" json in
+  let* epoch = J.int_field ~ctx "epoch" json in
   let* () = if epoch >= 0 then Ok () else Error "checkpoint epoch negative" in
-  let* subs = list_field "subscribers" json in
-  let* subs = map_result subscriber_of_json subs in
+  let* subs = J.list_field ~ctx "subscribers" json in
+  let* subs = J.map_result subscriber_of_json subs in
   let sorted = List.sort (fun a b -> String.compare a.sub b.sub) subs in
   let* () =
     let rec dup = function
@@ -292,12 +257,12 @@ let load_checkpoint ~seed path =
     match J.of_string raw with
     | Error m -> Error ("session checkpoint: unparseable payload: " ^ m)
     | Ok json ->
-      let* fmt = str_field "format" json in
+      let* fmt = J.str_field ~ctx "format" json in
       let* () =
         if String.equal fmt format_tag then Ok ()
         else Error (Printf.sprintf "session checkpoint: foreign format %S" fmt)
       in
-      let* ckpt_seed = int_field "seed" json in
+      let* ckpt_seed = J.int_field ~ctx "seed" json in
       let* () =
         if ckpt_seed = seed then Ok ()
         else
@@ -307,8 +272,8 @@ let load_checkpoint ~seed path =
                 resume a different draw chain)"
                ckpt_seed seed)
       in
-      let* gs = list_field "groups" json in
-      let* gs = map_result (group_of_json ~seed) gs in
+      let* gs = J.list_field ~ctx "groups" json in
+      let* gs = J.map_result (group_of_json ~seed) gs in
       Ok (List.sort (fun (a, _) (b, _) -> String.compare a b) gs))
 
 let create ?(seed = 42) ?checkpoint () =

@@ -4,7 +4,6 @@ module Frame = Frame
 module J = Obs.Json
 module S = Minimax.Serve
 module I = Check.Invariants
-module E = Resilience.Solver_error
 module F = Resilience.Fault
 module Request = Engine.Request
 module Compiled = Engine.Compiled
@@ -54,56 +53,14 @@ let payload_of_frame raw = Result.map_error of_frame_error (Frame.decode raw)
 (* Payload JSON                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rung_to_string = S.rung_to_string
-
-let rung_of_string = function
-  | "tailored" -> Some S.Tailored
-  | "geometric+remap" -> Some S.Geometric_remap
-  | "geometric" -> Some S.Geometric_raw
-  | _ -> None
-
-let kind_of_string = function
-  | "deadline" -> Some E.Deadline
-  | "pivots" -> Some E.Pivots
-  | "bits" -> Some E.Bits
-  | "injected" -> Some E.Injected
-  | _ -> None
-
-let reason_to_json = function
-  | S.Solver e -> J.Obj (("kind", J.Str "solver") :: (match E.to_json e with
-      | J.Obj fields -> fields
-      | other -> [ ("error", other) ]))
-  | S.Uncertified rule -> J.Obj [ ("kind", J.Str "uncertified"); ("rule", J.Str rule) ]
-
-let attempt_to_json (a : S.attempt) =
-  J.Obj
-    [
-      ("rung", J.Str (rung_to_string a.S.attempted));
-      ("reason", reason_to_json a.S.reason);
-    ]
-
-let pairs_to_json ps = J.List (List.map (fun (k, v) -> J.List [ J.Str k; J.Str v ]) ps)
-
-let certificate_to_json (c : I.certificate) =
-  J.Obj
-    [
-      ("rule", J.Str c.I.cert_rule);
-      ("params", pairs_to_json c.I.params);
-      ("constraints_checked", J.Int c.I.constraints_checked);
-      ("tight", pairs_to_json c.I.tight);
-    ]
-
-let provenance_to_json (p : S.provenance) =
-  J.Obj
-    [
-      ("rung", J.Str (rung_to_string p.S.rung));
-      ("alpha", J.rat p.S.alpha);
-      ("n", J.Int p.S.n);
-      ("attempts", J.List (List.map attempt_to_json p.S.attempts));
-      ("pivots_spent", J.Int p.S.pivots_spent);
-      ("peak_bits", J.Int p.S.peak_bits);
-      ("checks", J.List (List.map (fun c -> J.Str c) p.S.checks));
-    ]
+(* Every field is written and read back through the codec of the
+   module that owns its type ([Serve] for provenance, [Invariants] for
+   certificates); the store adds only the envelope and the matrix.
+   Decoding errors are strings, prefixed with the context word
+   "payload", and surface as [Corrupt]. *)
+let ( let* ) = J.( let* )
+let ctx = "payload"
+let corrupt r = Result.map_error (fun m -> Corrupt m) r
 
 (* The canonical key is itself a [k=v;...] record over the canonical
    consumer spellings, so the payload's request fields come from
@@ -147,139 +104,30 @@ let payload_of_artifact (c : Compiled.t) =
          ("format", J.Str "dpstore");
          ("key", J.Str c.Compiled.key);
          ("loss", J.rat served.S.loss);
-         ("provenance", provenance_to_json served.S.provenance);
+         ("provenance", S.provenance_to_json served.S.provenance);
          ("matrix", matrix_to_json (Mech.Mechanism.matrix served.S.mechanism));
-         ("certificates", J.List (List.map certificate_to_json served.S.certificates));
+         ("certificates", J.List (List.map I.certificate_to_json served.S.certificates));
        ])
 
 (* --- decoding ----------------------------------------------------- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error (Corrupt ("payload missing " ^ name))
-
-let str_field name json =
-  let* v = field name json in
-  match J.to_str_opt v with
-  | Some s -> Ok s
-  | None -> Error (Corrupt ("payload field " ^ name ^ " is not a string"))
-
-let int_field name json =
-  let* v = field name json in
-  match J.to_int_opt v with
-  | Some i -> Ok i
-  | None -> Error (Corrupt ("payload field " ^ name ^ " is not an integer"))
-
-let rat_field name json =
-  let* s = str_field name json in
-  match Rat.of_string_opt s with
-  | Some r -> Ok r
-  | None -> Error (Corrupt ("payload field " ^ name ^ " is not a rational"))
-
-let list_field name json =
-  let* v = field name json in
-  match v with
-  | J.List l -> Ok l
-  | _ -> Error (Corrupt ("payload field " ^ name ^ " is not a list"))
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
-let pairs_of_json name v =
-  match v with
-  | J.List l ->
-    map_result
-      (function
-        | J.List [ J.Str k; J.Str v ] -> Ok (k, v)
-        | _ -> Error (Corrupt (name ^ " entry is not a [key,value] pair")))
-      l
-  | _ -> Error (Corrupt (name ^ " is not a list"))
-
-let certificate_of_json json =
-  let* cert_rule = str_field "rule" json in
-  let* params = field "params" json in
-  let* params = pairs_of_json "params" params in
-  let* constraints_checked = int_field "constraints_checked" json in
-  let* tight = field "tight" json in
-  let* tight = pairs_of_json "tight" tight in
-  Ok { I.cert_rule; params; constraints_checked; tight }
-
-let rung_field name json =
-  let* s = str_field name json in
-  match rung_of_string s with
-  | Some r -> Ok r
-  | None -> Error (Corrupt ("unknown rung " ^ s))
-
-let reason_of_json json =
-  let* kind = str_field "kind" json in
-  match kind with
-  | "uncertified" ->
-    let* rule = str_field "rule" json in
-    Ok (S.Uncertified rule)
-  | "solver" -> (
-    let* verdict = str_field "verdict" json in
-    match verdict with
-    | "infeasible" -> Ok (S.Solver E.Infeasible)
-    | "unbounded" -> Ok (S.Solver E.Unbounded)
-    | "exhausted" -> (
-      let* site = str_field "site" json in
-      let* kind = str_field "kind" json in
-      let* pivots = int_field "pivots" json in
-      let* peak_bits = int_field "peak_bits" json in
-      match kind_of_string kind with
-      | Some kind -> Ok (S.Solver (E.Exhausted { site; kind; pivots; peak_bits }))
-      | None -> Error (Corrupt ("unknown budget kind " ^ kind)))
-    | v -> Error (Corrupt ("unknown solver verdict " ^ v)))
-  | k -> Error (Corrupt ("unknown attempt reason kind " ^ k))
-
-let attempt_of_json json =
-  let* attempted = rung_field "rung" json in
-  let* reason = field "reason" json in
-  let* reason = reason_of_json reason in
-  Ok { S.attempted; reason }
-
-let provenance_of_json json =
-  let* rung = rung_field "rung" json in
-  let* alpha = rat_field "alpha" json in
-  let* n = int_field "n" json in
-  let* attempts = list_field "attempts" json in
-  let* attempts = map_result attempt_of_json attempts in
-  let* pivots_spent = int_field "pivots_spent" json in
-  let* peak_bits = int_field "peak_bits" json in
-  let* checks = list_field "checks" json in
-  let* checks =
-    map_result
-      (fun c ->
-        match J.to_str_opt c with
-        | Some s -> Ok s
-        | None -> Error (Corrupt "checks entry is not a string"))
-      checks
-  in
-  Ok { S.rung; alpha; n; attempts; pivots_spent; peak_bits; checks }
-
 let matrix_of_json json =
-  let* rows = list_field "matrix" json in
+  let open J in
+  let* rows = list_field ~ctx "matrix" json in
   let* rows =
     map_result
       (function
-        | J.List cells ->
+        | List cells ->
           let* cells =
             map_result
               (fun c ->
-                match Option.bind (J.to_str_opt c) Rat.of_string_opt with
+                match Option.bind (to_str_opt c) Rat.of_string_opt with
                 | Some r -> Ok r
-                | None -> Error (Corrupt "matrix cell is not a rational"))
+                | None -> Error "matrix cell is not a rational")
               cells
           in
           Ok (Array.of_list cells)
-        | _ -> Error (Corrupt "matrix row is not a list"))
+        | _ -> Error "matrix row is not a list")
       rows
   in
   Ok (Array.of_list rows)
@@ -299,9 +147,9 @@ let verify_payload ~expect_key payload =
   match J.of_string payload with
   | Error m -> Error (Corrupt ("unparseable payload: " ^ m))
   | Ok json -> (
-    let* fmt = str_field "format" json in
+    let* fmt = corrupt (J.str_field ~ctx "format" json) in
     let* () = if fmt = "dpstore" then Ok () else Error (Corrupt "not a dpstore payload") in
-    let* key = str_field "key" json in
+    let* key = corrupt (J.str_field ~ctx "key" json) in
     let* () =
       match expect_key with
       | Some k when not (String.equal k key) ->
@@ -309,12 +157,12 @@ let verify_payload ~expect_key payload =
       | _ -> Ok ()
     in
     let* req = request_of_key key in
-    let* loss = rat_field "loss" json in
-    let* prov = field "provenance" json in
-    let* provenance = provenance_of_json prov in
-    let* matrix = matrix_of_json json in
-    let* certs = list_field "certificates" json in
-    let* certificates = map_result certificate_of_json certs in
+    let* loss = corrupt (J.rat_field ~ctx "loss" json) in
+    let* prov = corrupt (J.field ~ctx "provenance" json) in
+    let* provenance = corrupt (S.provenance_of_json ~ctx prov) in
+    let* matrix = corrupt (matrix_of_json json) in
+    let* certs = corrupt (J.list_field ~ctx "certificates" json) in
+    let* certificates = corrupt (J.map_result (I.certificate_of_json ~ctx) certs) in
     match F.trip "store.verify" with
     | exception F.Injected { site = "store.verify"; _ } ->
       Error (Uncertified { rule = "injected" })
@@ -482,7 +330,7 @@ let keys t =
               let* payload = payload_of_frame raw in
               match J.of_string payload with
               | Error m -> Error (Corrupt ("unparseable payload: " ^ m))
-              | Ok json -> str_field "key" json
+              | Ok json -> corrupt (J.str_field ~ctx "key" json)
             with
             | Ok key -> Some key
             | Error _ -> None)

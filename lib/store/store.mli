@@ -29,6 +29,14 @@
     request. Any mismatch is a typed {!error} and the caller falls
     through to compiling — never a crash, never a wrong byte.
 
+    {b One codec per type.} The payload carries no encoding of its own:
+    provenance is written and read by {!Minimax.Serve.provenance_to_json}
+    / [provenance_of_json], certificates by
+    {!Check.Invariants.certificate_to_json} / [certificate_of_json],
+    and every field through the {!Obs.Json} decoders. Degraded
+    releases (non-empty [provenance.attempts]) are never written, and
+    a payload that records one is refused on load as {!Corrupt}.
+
     Fault sites (see {!Resilience.Fault}): ["store.read"] (tripped at
     probe time; degrades to a miss), ["store.write"] (tripped at
     write-back time; the entry is simply not persisted), and

@@ -145,7 +145,7 @@ let test_outcome_counts () =
   Alcotest.(check int) "suppressed" 0 o.A.suppressed
 
 let baseline_of_entries entries =
-  let open Check.Json in
+  let open Obs.Json in
   let entry (rule, file, symbol, allowed) =
     Obj
       [

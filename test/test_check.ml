@@ -167,18 +167,37 @@ let test_monotone_loss () =
 
 let test_json_shape () =
   let reports = I.check_mech ~alpha:(q 1 2) (geo 2 (q 1 2)) in
-  let s = Check.Json.to_string (I.summary_to_json reports) in
+  let s = Obs.Json.to_string (I.summary_to_json reports) in
   Alcotest.(check bool) "mentions tool" true
     (Str.string_match (Str.regexp ".*\"tool\":\"dplint\".*") s 0);
   Alcotest.(check bool) "ok true" true
     (Str.string_match (Str.regexp ".*\"ok\":true.*") s 0);
   let bad = I.row_stochastic [| [| q 1 2 |] |] in
-  let s_bad = Check.Json.to_string (I.report_to_json bad) in
+  let s_bad = Obs.Json.to_string (I.report_to_json bad) in
   Alcotest.(check bool) "ok false" true
     (Str.string_match (Str.regexp ".*\"ok\":false.*") s_bad 0)
 
+(* The certificate codec is the one the store persists with: every
+   certificate check_mech earns on G(n,α) must decode back to itself. *)
+let test_certificate_codec_round_trip () =
+  List.iter
+    (fun alpha ->
+      for n = 1 to 6 do
+        List.iter
+          (fun (r : I.report) ->
+            match r.certificate with
+            | None -> Alcotest.failf "G(%d,%s) %s: no certificate" n (Rat.to_string alpha) r.rule
+            | Some c ->
+              Alcotest.(check bool)
+                (Printf.sprintf "G(%d,%s) %s" n (Rat.to_string alpha) r.rule)
+                true
+                (I.certificate_of_json ~ctx:"test" (I.certificate_to_json c) = Ok c))
+          (I.check_mech ~alpha (geo n alpha))
+      done)
+    [ q 1 3; q 1 2; q 2 3 ]
+
 let test_json_escape () =
-  Alcotest.(check string) "escape" "a\\\"b\\\\c\\nd" (Check.Json.escape "a\"b\\c\nd")
+  Alcotest.(check string) "escape" "a\\\"b\\\\c\\nd" (Obs.Json.escape "a\"b\\c\nd")
 
 (* ------------------------------------------------------------------ *)
 (* Source lint                                                         *)
@@ -313,6 +332,8 @@ let () =
       ( "json",
         [
           Alcotest.test_case "shape" `Quick test_json_shape;
+          Alcotest.test_case "certificate codec round trip" `Quick
+            test_certificate_codec_round_trip;
           Alcotest.test_case "escape" `Quick test_json_escape;
         ] );
       ( "lint",

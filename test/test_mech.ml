@@ -384,6 +384,30 @@ let properties =
         !ok);
   ]
 
+(* The one matrix-text reader behind dpopt verify and dplint
+   check-mech: spaces or tabs, '#' comments, blank lines; a bad entry
+   is named, an empty file is an error. *)
+let test_rows_of_text () =
+  let text = "# G(1,1/2)\n\n2/3\t1/3   # row 0\n \t1/3 2/3\n\n" in
+  (match M.rows_of_text text with
+   | Ok rows ->
+     Alcotest.(check bool) "rows" true (rows = [| [| q 2 3; q 1 3 |]; [| q 1 3; q 2 3 |] |])
+   | Error m -> Alcotest.failf "rejected a valid matrix: %s" m);
+  (match M.rows_of_text "1/2 1/2\n1/2\tx/2\n" with
+   | Error m -> Alcotest.(check string) "bad entry named" "bad matrix entry \"x/2\"" m
+   | Ok _ -> Alcotest.fail "accepted a bad entry");
+  List.iter
+    (fun text ->
+      match M.rows_of_text text with
+      | Error m -> Alcotest.(check string) "empty" "empty matrix file" m
+      | Ok _ -> Alcotest.failf "accepted empty input %S" text)
+    [ ""; "\n# only a comment\n\t\n" ];
+  match M.rows_of_file "/nonexistent/matrix.txt" with
+  | Error m ->
+    Alcotest.(check bool) "missing file named" true
+      (String.starts_with ~prefix:"/nonexistent/matrix.txt" m)
+  | Ok _ -> Alcotest.fail "read a missing file"
+
 let () =
   Alcotest.run "mech"
     [
@@ -395,6 +419,7 @@ let () =
           Alcotest.test_case "dp violations" `Quick test_dp_violations;
           Alcotest.test_case "privacy level of geometric" `Quick test_privacy_level_geometric;
           Alcotest.test_case "minimax loss" `Quick test_minimax_loss;
+          Alcotest.test_case "matrix text reader" `Quick test_rows_of_text;
         ] );
       ( "geometric",
         [

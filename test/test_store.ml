@@ -74,7 +74,8 @@ let check_artifact_equal name (a : Co.t) (b : Co.t) =
   Alcotest.(check bool)
     (name ^ ": certificates")
     true
-    (a.Co.served.Minimax.Serve.certificates = b.Co.served.Minimax.Serve.certificates)
+    (a.Co.served.Minimax.Serve.certificates = b.Co.served.Minimax.Serve.certificates);
+  Alcotest.(check bool) (name ^ ": served") true (a.Co.served = b.Co.served)
 
 let round_trip_cases =
   [
@@ -99,7 +100,10 @@ let test_round_trip () =
           match Store.load s ~key:c.Co.key with
           | Error e -> Alcotest.failf "%s: load: %s" name (Store.error_to_string e)
           | Ok None -> Alcotest.failf "%s: entry vanished" name
-          | Ok (Some c') -> check_artifact_equal name c c')
+          | Ok (Some c') ->
+            Alcotest.(check bool) (name ^ ": geometric+remap rung") true
+              (Co.rung c' = S.Geometric_remap);
+            check_artifact_equal name c c')
         round_trip_cases;
       let st = Store.stats s in
       Alcotest.(check int) "writes counted" (List.length round_trip_cases) st.Store.writes;
@@ -268,6 +272,91 @@ let test_degraded_not_written () =
       Alcotest.(check bool) "no entry on disk" false
         (Sys.file_exists (Store.entry_path s ~key:c.Co.key));
       Alcotest.(check int) "no write counted" 0 (Store.stats s).Store.writes)
+
+(* A payload recording a degraded release, framed the way the store's
+   former private encoder wrote provenance: reason objects carry
+   "kind":"solver" and then the exhaustion's own "kind". Only
+   undegraded provenance is decodable, so the entry is refused as
+   corrupt and the engine recompiles it. *)
+let legacy_degraded_payload (c : Co.t) =
+  let module J = Obs.Json in
+  let served = c.Co.served in
+  let p = served.S.provenance in
+  let reason = function
+    | S.Solver e -> (
+      match Lp.Solver_error.to_json e with
+      | J.Obj fields -> J.Obj (("kind", J.Str "solver") :: fields)
+      | other -> J.Obj [ ("kind", J.Str "solver"); ("error", other) ])
+    | S.Uncertified rule -> J.Obj [ ("kind", J.Str "uncertified"); ("rule", J.Str rule) ]
+  in
+  let attempt (a : S.attempt) =
+    J.Obj [ ("rung", J.Str (S.rung_to_string a.S.attempted)); ("reason", reason a.S.reason) ]
+  in
+  J.to_string
+    (J.Obj
+       [
+         ("format", J.Str "dpstore");
+         ("key", J.Str c.Co.key);
+         ("loss", J.rat served.S.loss);
+         ( "provenance",
+           J.Obj
+             [
+               ("rung", J.Str (S.rung_to_string p.S.rung));
+               ("alpha", J.rat p.S.alpha);
+               ("n", J.Int p.S.n);
+               ("attempts", J.List (List.map attempt p.S.attempts));
+               ("pivots_spent", J.Int p.S.pivots_spent);
+               ("peak_bits", J.Int p.S.peak_bits);
+               ("checks", J.List (List.map (fun c -> J.Str c) p.S.checks));
+             ] );
+         ( "matrix",
+           J.List
+             (Array.to_list
+                (Array.map
+                   (fun row -> J.List (Array.to_list (Array.map J.rat row)))
+                   (M.matrix served.S.mechanism))) );
+         ( "certificates",
+           J.List (List.map Check.Invariants.certificate_to_json served.S.certificates) );
+       ])
+
+(* Both ways a release degrades: an exhausted solve (whose old
+   encoding repeats "kind") and a failed remap certificate (which the
+   old decoder read back and served as a degraded store hit). *)
+let test_degraded_payload_refused () =
+  let r = req ~n:5 () in
+  let key = Rq.canonical_key r in
+  let compile ?budget () = Co.compile ?budget ~alpha:r.Rq.alpha ~key (Rq.consumer r) in
+  let exhausted = compile ~budget:(B.make ~max_pivots:1 ()) () in
+  let uncertified =
+    F.with_plan
+      (F.plan [ { F.site = "serve.certify"; hits = 1; action = F.Trip } ])
+      (fun () -> compile ())
+  in
+  Alcotest.(check bool) "exhausted fixture repeats the kind key" true
+    (Str.string_match
+       (Str.regexp ".*\"kind\":\"solver\".*\"kind\":\"pivots\"")
+       (legacy_degraded_payload exhausted) 0);
+  List.iter
+    (fun (name, (c : Co.t)) ->
+      with_store (fun _dir s ->
+          Alcotest.(check bool) (name ^ ": fixture is degraded") true
+            (c.Co.served.S.provenance.S.attempts <> []);
+          write_file (Store.entry_path s ~key) (frame (legacy_degraded_payload c));
+          check_load_error name s ~key "corrupt";
+          Alcotest.(check int) (name ^ ": refusal counted") 1 (Store.stats s).Store.corrupt;
+          let resp =
+            Engine.with_engine ~domains:1 ~tier:(Store.tier s) (fun e ->
+                (Engine.run_batch ~seed:7 e [| r |]).(0))
+          in
+          Alcotest.(check bool) (name ^ ": not a store hit") false resp.Engine.store_hit;
+          let plain =
+            Engine.with_engine ~domains:1 (fun e -> (Engine.run_batch ~seed:7 e [| r |]).(0))
+          in
+          Alcotest.(check (array int)) (name ^ ": bytes match storeless run")
+            plain.Engine.samples resp.Engine.samples;
+          Alcotest.(check string) (name ^ ": loss matches storeless run")
+            (Rat.to_string plain.Engine.loss) (Rat.to_string resp.Engine.loss)))
+    [ ("exhausted", exhausted); ("uncertified", uncertified) ]
 
 let test_temp_sweep () =
   with_store (fun dir s ->
@@ -498,6 +587,8 @@ let () =
             test_degraded_not_written;
           Alcotest.test_case "stale temp files are swept" `Quick test_temp_sweep;
           Alcotest.test_case "legacy rung=tailored entry loads" `Quick test_legacy_tailored_entry;
+          Alcotest.test_case "degraded payload refused as corrupt" `Quick
+            test_degraded_payload_refused;
         ] );
       ( "faults",
         [ Alcotest.test_case "store.read/write/verify sites" `Quick test_fault_sites ] );
